@@ -23,7 +23,6 @@ from .belief import (
     Belief,
     GroundTruth,
     fuse_beliefs,
-    uncertain_indices,
     update_with_evidence,
 )
 from .environment import ARRIVAL_RADIUS, HexGrid, NoiseModel, observe
@@ -65,10 +64,10 @@ class AgentState:
 
 def select_target(belief: Belief, rng: np.random.Generator) -> int | None:
     """Uniform draw over the propositions the belief is uncertain about."""
-    candidates = sorted(uncertain_indices(belief))
-    if not candidates:
+    candidates = np.flatnonzero(belief.codes == 1) + 1  # code 1 is Unknown
+    if not len(candidates):
         return None
-    return candidates[int(rng.integers(len(candidates)))]
+    return int(candidates[int(rng.integers(len(candidates)))])
 
 
 def on_arrival(

@@ -4,9 +4,10 @@ Each tick applies a fixed phase order:
 
 1. every agent advances toward its destination;
 2. agents that reached their target cell gather evidence and retarget;
-3. the proximity graph is recomputed from the new positions;
-4. it is intersected with the interaction network over the currently
-   broadcasting agents;
+3. proximity is computed from the new positions, among the currently
+   broadcasting agents only;
+4. it is intersected with the interaction network's boolean matrix,
+   giving the eligible pairs;
 5. broadcasting agents are visited in seeded-random order and greedily
    matched into fusing pairs, each pair fusing mutually at most once per
    tick;
@@ -25,6 +26,8 @@ leaves no observable trace because nothing in them consumes randomness.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -34,7 +37,12 @@ from .agent import AgentState, Mode, advance_position, at_target, on_arrival, on
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
 from .errors import ConfigError
-from .network import InteractionNetwork, complete_graph, eligible_edges, physical_edges, ring_lattice
+from .network import InteractionNetwork, complete_graph, eligible_matrix, ring_lattice
+
+# The edge-set reference functions stay bound here although the tick no
+# longer calls them: the benchmark's tracer (perfbench/tracer.py) wraps
+# ``hexswarm.engine.physical_edges`` and ``eligible_edges`` by name.
+from .network import eligible_edges, physical_edges  # noqa: F401
 
 
 def parse_topology(topology: str) -> tuple[str, int | None]:
@@ -47,6 +55,18 @@ def parse_topology(topology: str) -> tuple[str, int | None]:
         except ValueError:
             pass
     raise ConfigError(f"topology must be 'complete' or 'lattice:<k>', got {topology!r}")
+
+
+def require_int(name: str, value: object) -> None:
+    """Raise ConfigError unless ``value`` is an integer (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(name: str, value: object) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +87,14 @@ class SimConfig:
     sample_every: int = 100
 
     def validate(self) -> None:
+        for name in ("m", "hex_disc_radius", "max_ticks", "seed", "sample_every"):
+            require_int(name, getattr(self, name))
+        for name in ("C_r", "C_f", "epsilon", "speed"):
+            require_finite(name, getattr(self, name))
+        if not isinstance(self.topology, str):
+            raise ConfigError(f"topology must be a string, got {self.topology!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.m < 2:
             raise ConfigError(f"m must be >= 2, got {self.m}")
         if self.hex_disc_radius < 1:
@@ -194,16 +222,18 @@ def average_error(beliefs: list[Belief], truth: GroundTruth) -> float:
 
 
 def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
-    cfg = state.config
     agents = state.agents
-    phys = physical_edges([(a.x, a.y) for a in agents], cfg.C_r)
-    elig = eligible_edges(phys, state.network, set(broadcasters))
-    if not elig:
+    ids = np.array(broadcasters)
+    positions = np.array([(agents[i].x, agents[i].y) for i in broadcasters])
+    elig = eligible_matrix(positions, state.config.C_r, state.network.matrix[ids][:, ids])
+    rows, cols = np.nonzero(elig)
+    if not len(rows):
         return
+    # np.nonzero is row-major, so each agent's partners come in ascending id
+    # order, which the candidate draw below depends on.
     adjacency: dict[int, list[int]] = {}
-    for i, j in sorted(elig):
-        adjacency.setdefault(i, []).append(j)
-        adjacency.setdefault(j, []).append(i)
+    for p, q in zip(rows.tolist(), cols.tolist()):
+        adjacency.setdefault(broadcasters[p], []).append(broadcasters[q])
     matched: set[int] = set()
     order = state.rng.permutation(broadcasters)
     for i in order:

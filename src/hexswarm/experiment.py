@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import RunRecord, SimConfig, parse_topology, run
+from .engine import RunRecord, SimConfig, parse_topology, require_int, run
 from .errors import ConfigError
 
 SWEEP_RESULTS_COLUMNS = [
@@ -62,6 +62,8 @@ class SweepSpec:
         for name in ("topology", "C_r", "C_f", "epsilon"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep list {name} must not be empty")
+        require_int("repeats", self.repeats)
+        require_int("base_seed", self.base_seed)
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.base_seed < 0:

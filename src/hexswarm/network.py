@@ -8,6 +8,10 @@ actually exchange beliefs only when its edge is present in both layers and
 both endpoints are currently broadcasting.
 
 Agents are identified by 0-based indices; edges are (i, j) tuples with i < j.
+Edge sets, with ``physical_edges`` and ``eligible_edges``, are the
+reference representation. The tick uses the interaction network's boolean
+``matrix`` instead and computes proximity among broadcasters only, through
+``eligible_matrix``; the two must agree pair for pair.
 """
 
 from __future__ import annotations
@@ -22,7 +26,11 @@ Edge = tuple[int, int]
 
 
 class InteractionNetwork:
-    """Immutable undirected graph over m agents."""
+    """Immutable undirected graph over m agents.
+
+    ``edges`` holds the links as (i, j) tuples with i < j; ``matrix`` holds
+    the same graph as a read-only symmetric ``(m, m)`` bool array.
+    """
 
     def __init__(self, m: int, edges: Iterable[Edge], topology: str, k: int):
         self.m = m
@@ -34,6 +42,11 @@ class InteractionNetwork:
             adj[i].add(j)
             adj[j].add(i)
         self._adj = tuple(frozenset(s) for s in adj)
+        matrix = np.zeros((m, m), dtype=bool)
+        for i, j in self.edges:
+            matrix[i, j] = matrix[j, i] = True
+        matrix.flags.writeable = False
+        self.matrix = matrix
 
     def neighbors(self, i: int) -> frozenset[int]:
         return self._adj[i]
@@ -99,3 +112,16 @@ def eligible_edges(
         for (i, j) in physical
         if (i, j) in allowed and i in broadcasting and j in broadcasting
     }
+
+
+def eligible_matrix(positions: np.ndarray, radius: float, allowed: np.ndarray) -> np.ndarray:
+    """Eligible-pair matrix among the broadcasting agents.
+
+    ``positions`` is the ``(b, 2)`` array of the broadcasters' positions in
+    ascending id order and ``allowed`` the interaction matrix restricted to
+    them, ``matrix[ids][:, ids]``. Entry ``[p, q]`` is True when the pair is
+    within ``radius`` (closed ball, decided by the same float expression as
+    ``physical_edges``) and linked in the interaction layer.
+    """
+    deltas = positions[:, None, :] - positions[None, :, :]
+    return ((deltas * deltas).sum(axis=2) <= radius * radius) & allowed

@@ -16,7 +16,7 @@ from hexswarm.agent import (
     on_fusion,
     select_target,
 )
-from hexswarm.belief import Belief, GroundTruth
+from hexswarm.belief import Belief, GroundTruth, uncertain_indices
 from hexswarm.environment import NoiseModel, build_grid
 
 
@@ -38,6 +38,22 @@ class TestSelectTarget:
         draws = [select_target(Belief.from_string("uu"), rng) for _ in range(10_000)]
         assert set(draws) == {1, 2}
         assert draws.count(1) / 10_000 == pytest.approx(0.5, abs=0.02)
+
+    @given(
+        beliefs=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=40), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sorted_set_draw(self, beliefs, seed):
+        # Reference: a uniform draw over the sorted set of uncertain indices.
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for codes in beliefs:
+            belief = Belief(codes)
+            candidates = sorted(uncertain_indices(belief))
+            expected = candidates[int(ref_rng.integers(len(candidates)))] if candidates else None
+            got = select_target(belief, rng)
+            assert got == expected
+            assert type(got) is type(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestOnArrival:

@@ -82,6 +82,25 @@ class TestValidate:
         assert code == 2
         assert "warp_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "m=abc",
+            "hex_disc_radius=2.5",
+            "seed=-1",
+            "max_ticks=1.5",
+            "sample_every=1.5",
+            "speed=NaN",
+            "C_r=NaN",
+        ],
+    )
+    def test_malformed_value_exits_2_with_one_line(self, override, capsys):
+        assert main(["validate", "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert override.split("=")[0] in err
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

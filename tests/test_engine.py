@@ -1,11 +1,16 @@
 """Tests for the per-tick engine: initialization, pairing, termination."""
 
+import copy
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hexswarm.agent import Mode
+from hexswarm import engine
+from hexswarm.agent import Mode, on_fusion
 from hexswarm.belief import Belief, GroundTruth
 from hexswarm.engine import (
     SimConfig,
@@ -16,7 +21,9 @@ from hexswarm.engine import (
     run,
     tick,
 )
+from hexswarm.environment import DEFAULT_CIRCUMRADIUS
 from hexswarm.errors import ConfigError
+from hexswarm.network import eligible_edges, physical_edges
 
 FAST = dict(m=6, hex_disc_radius=2, C_r=20.0, C_f=0.2, epsilon=0.1, max_ticks=2000, seed=11)
 
@@ -44,6 +51,9 @@ class TestConfig:
             ("topology", "smallworld"),
             ("topology", "lattice:3"),
             ("topology", "lattice:20"),
+            ("topology", 5),
+            ("m", True),
+            ("C_f", float("inf")),
         ],
     )
     def test_validation_names_the_field(self, field, value):
@@ -159,6 +169,84 @@ class TestTickPairing:
             tick(state)
             assert state.fusion_events == 0
         assert all(a.mode is Mode.SATURATED for a in state.agents)
+
+
+def reference_fusion_phase(state, broadcasters):
+    """The edge-set fusion phase: all-pairs proximity, set filtering, and an
+    adjacency built from the sorted eligible edges."""
+    agents = state.agents
+    phys = physical_edges([(a.x, a.y) for a in agents], state.config.C_r)
+    elig = eligible_edges(phys, state.network, set(broadcasters))
+    if not elig:
+        return
+    adjacency = {}
+    for i, j in sorted(elig):
+        adjacency.setdefault(i, []).append(j)
+        adjacency.setdefault(j, []).append(i)
+    matched = set()
+    for i in state.rng.permutation(broadcasters):
+        i = int(i)
+        if i in matched or i not in adjacency:
+            continue
+        candidates = [j for j in adjacency[i] if j not in matched]
+        if not candidates:
+            continue
+        j = candidates[int(state.rng.integers(len(candidates)))]
+        belief_i, belief_j = agents[i].belief, agents[j].belief
+        on_fusion(agents[i], belief_j, state.rng)
+        on_fusion(agents[j], belief_i, state.rng)
+        matched.update((i, j))
+        state.fusion_events += 1
+        state.last_fusions.append((i, j))
+
+
+CELL_SPACING = math.sqrt(3) * DEFAULT_CIRCUMRADIUS
+
+
+class TestFusionPhaseMatchesEdgeSetReference:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_single_phase(self, data):
+        m = data.draw(st.integers(2, 14))
+        topology = data.draw(st.sampled_from(["complete"] + [f"lattice:{k}" for k in range(2, m - 1, 2)]))
+        config = SimConfig(m=m, hex_disc_radius=2, topology=topology,
+                           C_r=data.draw(st.sampled_from([CELL_SPACING, 20.0, 35.0])),
+                           seed=data.draw(st.integers(0, 2**32 - 1)))
+        state = initialize(config)
+        n = state.grid.n
+        # Cell centers put many pairs at exactly the cell spacing apart.
+        centers = [(0.0, 0.0)] + [state.grid.center_of(i) for i in range(1, n + 1)]
+        spot = st.one_of(st.sampled_from(centers), st.tuples(st.floats(-40, 40), st.floats(-40, 40)))
+        for agent in state.agents:
+            agent.x, agent.y = data.draw(spot)
+            agent.mode = data.draw(st.sampled_from(list(Mode)))
+            agent.belief = Belief(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        broadcasters = [a.id for a in state.agents if a.mode is not Mode.EXPLORING]
+        assume(len(broadcasters) >= 2)  # tick() skips the phase otherwise
+        expected = copy.deepcopy(state)
+
+        engine._run_fusion_phase(state, broadcasters)
+        reference_fusion_phase(expected, broadcasters)
+        assert state.last_fusions == expected.last_fusions
+        assert state.fusion_events == expected.fusion_events
+        assert state.rng.bit_generator.state == expected.rng.bit_generator.state
+        assert [a.log_line(0) for a in state.agents] == [a.log_line(0) for a in expected.agents]
+        assert [a.target for a in state.agents] == [a.target for a in expected.agents]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(m=10, topology="lattice:2", C_f=1.0, epsilon=0.3, seed=3),
+            dict(m=12, topology="complete", C_r=CELL_SPACING, C_f=0.5, epsilon=0.1, seed=8),
+            dict(m=9, topology="lattice:4", C_r=35.0, C_f=0.2, epsilon=0.0, seed=21),
+        ],
+    )
+    def test_whole_run(self, overrides, monkeypatch):
+        config = SimConfig(hex_disc_radius=2, max_ticks=1500, sample_every=10, **overrides)
+        record = run(config).to_json()
+        monkeypatch.setattr(engine, "_run_fusion_phase", reference_fusion_phase)
+        assert record == run(config).to_json()
+        assert json.loads(record)["summary"]["fusion_events"] > 0
 
 
 class TestConsensus:

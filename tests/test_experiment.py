@@ -70,6 +70,14 @@ class TestExpand:
         with pytest.raises(ConfigError, match="topology"):
             expand(spec)
 
+    @pytest.mark.parametrize(
+        "field,value", [("repeats", 2.5), ("repeats", True), ("base_seed", 1.0), ("base_seed", -1)]
+    )
+    def test_malformed_repeats_and_base_seed_rejected(self, field, value):
+        spec = SweepSpec(**{field: value}, **TINY)
+        with pytest.raises(ConfigError, match=field):
+            spec.validate()
+
     def test_scalars_normalized_to_lists(self):
         spec = SweepSpec(topology="complete", C_r=20, C_f=0.1, epsilon=0.0,
                          repeats=1, **TINY)

@@ -1,11 +1,21 @@
 """Tests for the interaction/physical network layers."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hexswarm.environment import DEFAULT_CIRCUMRADIUS, build_grid
 from hexswarm.errors import ConfigError
-from hexswarm.network import complete_graph, eligible_edges, physical_edges, ring_lattice
+from hexswarm.network import (
+    complete_graph,
+    eligible_edges,
+    eligible_matrix,
+    physical_edges,
+    ring_lattice,
+)
 
 positions = st.lists(
     st.tuples(
@@ -141,6 +151,62 @@ class TestEligibleEdges:
         assert elig <= net.edges
         for i, j in elig:
             assert i in broadcasting and j in broadcasting
+
+
+CELL_SPACING = math.sqrt(3) * DEFAULT_CIRCUMRADIUS
+GRID = build_grid(2)
+CELL_CENTERS = [(0.0, 0.0)] + [GRID.center_of(i) for i in range(1, GRID.n + 1)]
+
+# Agents sit on cell centers after every arrival, and integer coordinates
+# give many pairs at exactly a round radius, so both exercise the boundary.
+point = st.one_of(
+    st.tuples(
+        st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+        st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+    ),
+    st.sampled_from(CELL_CENTERS),
+    st.tuples(st.integers(-40, 40).map(float), st.integers(-40, 40).map(float)),
+)
+
+
+class TestInteractionMatrix:
+    @pytest.mark.parametrize("net", [ring_lattice(10, 4), complete_graph(5), ring_lattice(4, 2)])
+    def test_matches_edges(self, net):
+        i, j = np.nonzero(np.triu(net.matrix))
+        assert set(zip(i.tolist(), j.tolist())) == net.edges
+        assert (net.matrix == net.matrix.T).all()
+        assert not net.matrix.diagonal().any()
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            complete_graph(3).matrix[0, 1] = False
+
+
+class TestEligibleMatrix:
+    @given(data=st.data())
+    def test_matches_edge_set_reference(self, data):
+        m = data.draw(st.integers(2, 16))
+        pts = data.draw(st.lists(point, min_size=m, max_size=m))
+        nets = [complete_graph(m)] + [ring_lattice(m, k) for k in range(2, m - 1, 2)]
+        net = data.draw(st.sampled_from(nets))
+        i, j = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)))
+        pair_distance = math.dist(pts[i], pts[j]) or 1.0
+        radius = data.draw(
+            st.one_of(st.floats(0.1, 150), st.sampled_from([CELL_SPACING, 20.0, pair_distance]))
+        )
+        ids = sorted(data.draw(st.sets(st.integers(0, m - 1))))
+
+        reference = eligible_edges(physical_edges(pts, radius), net, set(ids))
+        idx = np.array(ids, dtype=np.intp)
+        elig = eligible_matrix(np.array(pts)[idx], radius, net.matrix[idx][:, idx])
+        assert (elig == elig.T).all()
+        rows, cols = np.nonzero(elig)
+        assert {(ids[p], ids[q]) for p, q in zip(rows, cols) if p < q} == reference
+
+    def test_boundary_is_closed(self):
+        pts = np.array([(0.0, 0.0), (20.0, 0.0), (20.000001, 0.0)])
+        elig = eligible_matrix(pts, 20.0, complete_graph(3).matrix)
+        assert elig[0, 1] and not elig[0, 2]
 
 
 class TestEdgeListExport:
