@@ -63,11 +63,18 @@ class AgentState:
 
 
 def select_target(belief: Belief, rng: np.random.Generator) -> int | None:
-    """Uniform draw over the propositions the belief is uncertain about."""
-    candidates = np.flatnonzero(belief.codes == 1) + 1  # code 1 is Unknown
-    if not len(candidates):
+    """Uniform draw over the propositions the belief is uncertain about.
+
+    The candidates are the Unknown propositions in ascending index order;
+    one ``rng.integers(count)`` draw picks the k-th of them.
+    """
+    unknown = ~belief.known & ((1 << belief.n) - 1)
+    count = unknown.bit_count()
+    if not count:
         return None
-    return int(candidates[int(rng.integers(len(candidates)))])
+    for _ in range(int(rng.integers(count))):
+        unknown &= unknown - 1  # clear the lowest set bit
+    return (unknown & -unknown).bit_length()
 
 
 def on_arrival(

@@ -6,10 +6,13 @@ propositions, numbered 1..n. Beyond plain true/false, the third value
 the identity element of the pairwise fusion operator, while a head-on
 disagreement between two certain values collapses back to ``Unknown``.
 
-Beliefs are immutable. Internally a belief is a read-only int8 array of
-codes (FALSE=0, UNKNOWN=1, TRUE=2); the numeric reading {0, 0.5, 1} is
-applied only inside the error metric so that the algebra itself never
-compares floats.
+Beliefs are immutable. Internally a belief is two Python-int bitmasks over
+its n propositions, bit i standing for proposition i+1: ``known`` marks the
+certain propositions and ``true`` (a subset of ``known``) those believed
+true. Fusion, evidence updates, certainty and the error metric are then a
+few bitwise operations and popcounts each. The int8 code array (FALSE=0,
+UNKNOWN=1, TRUE=2) that the fusion table ``_FUSION`` acts on is still
+available, built on demand, as the read-only ``codes`` property.
 """
 
 from __future__ import annotations
@@ -43,11 +46,9 @@ TRUE = TruthValue.TRUE
 
 _SYMBOL_TO_CODE = {"0": 0, "u": 1, "1": 2}
 
-# Numeric map, indexed by code.
-_NUMERIC = np.array([0.0, 0.5, 1.0])
-
 # Pairwise fusion, indexed [a, b]: Unknown is the identity, agreement is
 # preserved, and contradiction between certain values yields Unknown.
+# fuse_beliefs applies the same operator to every proposition at once.
 _FUSION = np.array(
     [
         [0, 0, 1],
@@ -58,36 +59,74 @@ _FUSION = np.array(
 )
 
 
+def _masks(values: Iterable[TruthValue | int]) -> tuple[int, int, int]:
+    """(n, known, true) bitmasks of a sequence of truth value codes."""
+    n = known = true = 0
+    for code in values:
+        if code not in (0, 1, 2):
+            raise ValueError("truth value codes must be 0 (false), 1 (unknown) or 2 (true)")
+        if code != 1:
+            known |= 1 << n
+            if code == 2:
+                true |= 1 << n
+        n += 1
+    return n, known, true
+
+
+def _digits(n: int, known: int, true: int) -> bytes:
+    """One ASCII digit per proposition, proposition 1 first: 0 for Unknown,
+    1 for false, 2 for true."""
+    # Reading a mask's binary digits as hexadecimal gives every bit its own
+    # nibble, so adding known and its subset true cannot carry.
+    spread = int(format(known, "b"), 16) + int(format(true, "b"), 16)
+    return format(spread, f"0{n}x").encode()[::-1]
+
+
+_DIGIT_TO_CODE = bytes.maketrans(b"012", b"\x01\x00\x02")
+_DIGIT_TO_SYMBOL = bytes.maketrans(b"012", b"u01")
+
+
+def _codes(n: int, known: int, true: int) -> np.ndarray:
+    """Read-only int8 code array of the given masks."""
+    return np.frombuffer(_digits(n, known, true).translate(_DIGIT_TO_CODE), dtype=np.int8)
+
+
+def _check_index(index: int, n: int) -> None:
+    if not 1 <= index <= n:
+        raise ValueError(f"proposition index {index} out of range 1..{n}")
+
+
 class Belief:
     """An immutable n-tuple of truth values, one per proposition.
 
     Proposition indices are 1-based throughout the public API, matching
-    the usual p_1..p_n numbering of the model.
+    the usual p_1..p_n numbering of the model. ``known`` and ``true`` are
+    the bitmasks described in the module docstring.
     """
 
-    __slots__ = ("codes",)
+    __slots__ = ("n", "known", "true")
 
     def __init__(self, values: Iterable[TruthValue | int]):
-        codes = np.array(list(values), dtype=np.int8)
-        if codes.ndim != 1 or codes.size == 0:
+        n, known, true = _masks(values)
+        if n == 0:
             raise ValueError("a belief needs at least one proposition")
-        if codes.min() < 0 or codes.max() > 2:
-            raise ValueError("truth value codes must be 0 (false), 1 (unknown) or 2 (true)")
-        codes.setflags(write=False)
-        self.codes = codes
+        self.n = n
+        self.known = known
+        self.true = true
 
     @classmethod
-    def _from_codes(cls, codes: np.ndarray) -> "Belief":
-        # Internal fast path: caller guarantees a fresh, valid int8 array.
+    def _from_masks(cls, n: int, known: int, true: int) -> "Belief":
+        # Internal fast path: caller guarantees true is a subset of known.
         self = object.__new__(cls)
-        codes.setflags(write=False)
-        self.codes = codes
+        self.n = n
+        self.known = known
+        self.true = true
         return self
 
     @classmethod
     def unknown(cls, n: int) -> "Belief":
         """The totally uncertain belief over n propositions."""
-        return cls._from_codes(np.full(n, 1, dtype=np.int8))
+        return cls._from_masks(n, 0, 0)
 
     @classmethod
     def from_string(cls, text: str) -> "Belief":
@@ -97,74 +136,88 @@ class Belief:
         except KeyError as exc:
             raise ValueError(f"invalid belief symbol {exc.args[0]!r}") from None
 
+    @property
+    def codes(self) -> np.ndarray:
+        """Read-only int8 array of codes (FALSE=0, UNKNOWN=1, TRUE=2)."""
+        return _codes(self.n, self.known, self.true)
+
     def to_string(self) -> str:
-        return "".join("0u1"[c] for c in self.codes)
+        return _digits(self.n, self.known, self.true).translate(_DIGIT_TO_SYMBOL).decode()
 
     def value_at(self, index: int) -> TruthValue:
         """Truth value of proposition ``index`` (1-based)."""
-        if not 1 <= index <= self.codes.size:
-            raise ValueError(f"proposition index {index} out of range 1..{self.codes.size}")
-        return TruthValue(int(self.codes[index - 1]))
+        _check_index(index, self.n)
+        bit = 1 << (index - 1)
+        if not self.known & bit:
+            return UNKNOWN
+        return TRUE if self.true & bit else FALSE
 
     def certainty(self) -> int:
         """Number of propositions with a certain (non-Unknown) value."""
-        return int(self.codes.size - np.count_nonzero(self.codes == 1))
+        return self.known.bit_count()
 
     def is_certain(self) -> bool:
-        return not bool((self.codes == 1).any())
+        return self.known == (1 << self.n) - 1
 
     def __len__(self) -> int:
-        return self.codes.size
+        return self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Belief):
             return NotImplemented
-        return np.array_equal(self.codes, other.codes)
+        return self.n == other.n and self.known == other.known and self.true == other.true
 
     def __hash__(self) -> int:
-        return hash(self.codes.tobytes())
+        return hash((self.n, self.known, self.true))
 
     def __repr__(self) -> str:
         return f"Belief({self.to_string()!r})"
 
 
 class GroundTruth:
-    """The hidden state of the world: a certain value for every proposition."""
+    """The hidden state of the world: a certain value for every proposition.
 
-    __slots__ = ("codes",)
+    ``true`` has bit i set when proposition i+1 is true.
+    """
+
+    __slots__ = ("n", "true")
 
     def __init__(self, values: Iterable[TruthValue | int]):
-        codes = np.array(list(values), dtype=np.int8)
-        if codes.ndim != 1 or codes.size == 0:
+        n, known, true = _masks(values)
+        if n == 0:
             raise ValueError("a ground truth needs at least one proposition")
-        if not np.isin(codes, (0, 2)).all():
+        if known != (1 << n) - 1:
             raise ValueError("ground truth values must be certain (false or true)")
-        codes.setflags(write=False)
-        self.codes = codes
+        self.n = n
+        self.true = true
 
     @classmethod
     def from_bools(cls, flags: Sequence[bool]) -> "GroundTruth":
         return cls([2 if f else 0 for f in flags])
 
+    @property
+    def codes(self) -> np.ndarray:
+        """Read-only int8 array of codes (FALSE=0, TRUE=2)."""
+        return _codes(self.n, (1 << self.n) - 1, self.true)
+
     def value_at(self, index: int) -> TruthValue:
-        if not 1 <= index <= self.codes.size:
-            raise ValueError(f"proposition index {index} out of range 1..{self.codes.size}")
-        return TruthValue(int(self.codes[index - 1]))
+        _check_index(index, self.n)
+        return TRUE if self.true >> (index - 1) & 1 else FALSE
 
     def as_belief(self) -> Belief:
         """The fully certain belief that matches this ground truth exactly."""
-        return Belief._from_codes(self.codes.copy())
+        return Belief._from_masks(self.n, (1 << self.n) - 1, self.true)
 
     def to_string(self) -> str:
-        return "".join("0?1"[c] for c in self.codes)
+        return format(self.true, f"0{self.n}b")[::-1]
 
     def __len__(self) -> int:
-        return self.codes.size
+        return self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroundTruth):
             return NotImplemented
-        return np.array_equal(self.codes, other.codes)
+        return self.n == other.n and self.true == other.true
 
     def __repr__(self) -> str:
         return f"GroundTruth({self.to_string()!r})"
@@ -176,15 +229,21 @@ def fuse_value(a: TruthValue, b: TruthValue) -> TruthValue:
 
 
 def fuse_beliefs(a: Belief, b: Belief) -> Belief:
-    """Element-wise fusion of two beliefs of equal length."""
-    if len(a) != len(b):
-        raise ValueError(f"belief length mismatch: {len(a)} vs {len(b)}")
-    return Belief._from_codes(_FUSION[a.codes, b.codes])
+    """Element-wise fusion of two beliefs of equal length (see _FUSION).
+
+    A proposition is known in the result when either side knows it, unless
+    both know it with opposite values; its value is then the one known.
+    """
+    if a.n != b.n:
+        raise ValueError(f"belief length mismatch: {a.n} vs {b.n}")
+    ka, kb = a.known, b.known
+    known = (ka | kb) & ~(ka & kb & (a.true ^ b.true))
+    return Belief._from_masks(a.n, known, (a.true | b.true) & known)
 
 
 def is_evidence(e: Belief) -> bool:
     """True when ``e`` is certain about exactly one proposition."""
-    return int(np.count_nonzero(e.codes != 1)) == 1
+    return e.known.bit_count() == 1
 
 
 def update_with_evidence(belief: Belief, evidence: Belief) -> Belief:
@@ -202,15 +261,21 @@ def update_with_evidence(belief: Belief, evidence: Belief) -> Belief:
 
 def uncertain_indices(belief: Belief) -> set[int]:
     """The 1-based indices of all propositions the belief is unsure about."""
-    return {int(i) + 1 for i in np.flatnonzero(belief.codes == 1)}
+    return {i + 1 for i in range(belief.n) if not belief.known >> i & 1}
 
 
 def belief_error(belief: Belief, truth: GroundTruth) -> float:
     """Mean absolute numeric difference between a belief and the truth.
 
+    Each proposition contributes |v - t| with the numeric reading
+    {0, 0.5, 1}: 1 when certain and wrong, 0.5 when Unknown, 0 when right.
     An exactly matching belief scores 0; a totally uncertain one scores
-    0.5; the worst possible (certain and wrong everywhere) scores 1.
+    0.5; the worst possible (certain and wrong everywhere) scores 1. The
+    sum of such terms is exact in floating point, so the result does not
+    depend on summation order.
     """
     if len(belief) != len(truth):
         raise ValueError(f"belief length mismatch: {len(belief)} vs {len(truth)}")
-    return float(np.abs(_NUMERIC[belief.codes] - _NUMERIC[truth.codes]).mean())
+    wrong = (belief.known & (belief.true ^ truth.true)).bit_count()
+    unknown = belief.n - belief.known.bit_count()
+    return (wrong + 0.5 * unknown) / belief.n

@@ -92,6 +92,8 @@ def parse_and_validate(argv: list[str]) -> CliInvocation:
         p.add_argument("--workers", type=int, default=1, metavar="N", help="parallel run workers")
         p.add_argument("--seed", type=int, default=None, metavar="N", help="override the seed")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     return CliInvocation(
         subcommand=args.subcommand,
         config_path=args.config,

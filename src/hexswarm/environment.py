@@ -117,9 +117,7 @@ def sample_ground_truth(n: int, rng: np.random.Generator) -> GroundTruth:
     """Draw a world state: each proposition independently true or false."""
     if n < 1:
         raise ConfigError(f"proposition count must be >= 1, got {n}")
-    flags = rng.random(n) < 0.5
-    codes = np.where(flags, 2, 0).astype(np.int8)
-    return GroundTruth(codes)
+    return GroundTruth.from_bools(rng.random(n) < 0.5)
 
 
 def observe(index: int, truth: GroundTruth, noise: NoiseModel, rng: np.random.Generator) -> Belief:
@@ -132,9 +130,8 @@ def observe(index: int, truth: GroundTruth, noise: NoiseModel, rng: np.random.Ge
     n = len(truth)
     if not 1 <= index <= n:
         raise ValueError(f"proposition index {index} out of range 1..{n}")
-    code = int(truth.codes[index - 1])
+    bit = 1 << (index - 1)
+    true = truth.true & bit
     if rng.random() < noise.epsilon:
-        code = 2 - code
-    codes = np.full(n, 1, dtype=np.int8)
-    codes[index - 1] = code
-    return Belief._from_codes(codes)
+        true ^= bit
+    return Belief._from_masks(n, bit, true)

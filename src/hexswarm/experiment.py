@@ -68,10 +68,30 @@ class SweepSpec:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        # A trial's config differs from its cell's only in the derived seed,
+        # which is always a valid one, so checking each cell once suffices.
+        for cell in self.cells():
+            self.run_config(cell, self.base_seed).validate()
 
     def cells(self) -> list[tuple[str, float, float, float]]:
         """Parameter cells in deterministic (topology, C_r, C_f, epsilon) order."""
         return list(product(self.topology, self.C_r, self.C_f, self.epsilon))
+
+    def run_config(self, cell: tuple[str, float, float, float], seed: int) -> SimConfig:
+        """The single-run config of one cell of this sweep, with ``seed``."""
+        topology, c_r, c_f, eps = cell
+        return SimConfig(
+            m=self.m,
+            hex_disc_radius=self.hex_disc_radius,
+            C_r=c_r,
+            C_f=c_f,
+            epsilon=eps,
+            topology=topology,
+            max_ticks=self.max_ticks,
+            speed=self.speed,
+            seed=seed,
+            sample_every=self.sample_every,
+        )
 
 
 def derive_seed(base_seed: int, cell_index: int, trial: int) -> int:
@@ -88,22 +108,10 @@ def expand(spec: SweepSpec) -> list[tuple[SimConfig, int]]:
     """
     spec.validate()
     tasks: list[tuple[SimConfig, int]] = []
-    for cell_index, (topology, c_r, c_f, eps) in enumerate(spec.cells()):
+    for cell_index, cell in enumerate(spec.cells()):
         for trial in range(spec.repeats):
-            config = SimConfig(
-                m=spec.m,
-                hex_disc_radius=spec.hex_disc_radius,
-                C_r=c_r,
-                C_f=c_f,
-                epsilon=eps,
-                topology=topology,
-                max_ticks=spec.max_ticks,
-                speed=spec.speed,
-                seed=derive_seed(spec.base_seed, cell_index, trial),
-                sample_every=spec.sample_every,
-            )
-            config.validate()
-            tasks.append((config, trial))
+            seed = derive_seed(spec.base_seed, cell_index, trial)
+            tasks.append((spec.run_config(cell, seed), trial))
     return tasks
 
 

@@ -1,0 +1,157 @@
+"""Differential tests: the bitmask belief operations against the int8 code
+table they replace.
+
+Each reference below is the expression the operation used when a belief
+was an int8 array of codes (FALSE=0, UNKNOWN=1, TRUE=2). Lengths run past
+128 so that the masks span more than two 64-bit words.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hexswarm.agent import select_target
+from hexswarm.belief import (
+    _FUSION,
+    Belief,
+    GroundTruth,
+    TruthValue,
+    belief_error,
+    fuse_beliefs,
+    is_evidence,
+    update_with_evidence,
+)
+from hexswarm.environment import NoiseModel, observe
+
+NUMERIC = np.array([v.numeric for v in TruthValue])
+
+lengths = st.integers(1, 140)
+
+
+def code_lists(n, values=(0, 1, 2)):
+    return st.lists(st.sampled_from(values), min_size=n, max_size=n)
+
+
+def belief_pairs():
+    return lengths.flatmap(lambda n: st.tuples(code_lists(n), code_lists(n)))
+
+
+def belief_and_truth():
+    return lengths.flatmap(lambda n: st.tuples(code_lists(n), code_lists(n, (0, 2))))
+
+
+def belief_and_evidence():
+    def build(n):
+        evidence = st.tuples(st.integers(0, n - 1), st.sampled_from([0, 2])).map(
+            lambda iv: [iv[1] if j == iv[0] else 1 for j in range(n)]
+        )
+        return st.tuples(code_lists(n), evidence)
+
+    return lengths.flatmap(build)
+
+
+@given(belief_pairs())
+def test_fuse_beliefs_matches_table(pair):
+    a, b = Belief(pair[0]), Belief(pair[1])
+    fused = fuse_beliefs(a, b)
+    assert np.array_equal(fused.codes, _FUSION[a.codes, b.codes])
+    assert fused == Belief(_FUSION[a.codes, b.codes])
+
+
+@given(belief_and_evidence())
+def test_update_with_evidence_matches_table(pair):
+    belief, evidence = Belief(pair[0]), Belief(pair[1])
+    assert is_evidence(evidence) == (np.count_nonzero(evidence.codes != 1) == 1)
+    updated = update_with_evidence(belief, evidence)
+    assert np.array_equal(updated.codes, _FUSION[belief.codes, evidence.codes])
+
+
+@given(lengths.flatmap(code_lists))
+def test_certainty_and_evidence_match_codes(codes):
+    belief = Belief(codes)
+    array = np.array(codes, dtype=np.int8)
+    assert belief.certainty() == array.size - np.count_nonzero(array == 1)
+    assert belief.is_certain() == (not (array == 1).any())
+    assert is_evidence(belief) == (np.count_nonzero(array != 1) == 1)
+
+
+@given(belief_and_truth())
+def test_belief_error_matches_numeric_mean_exactly(pair):
+    belief, truth = Belief(pair[0]), GroundTruth(pair[1])
+    expected = float(np.abs(NUMERIC[belief.codes] - NUMERIC[truth.codes]).mean())
+    assert belief_error(belief, truth) == expected
+
+
+@given(lengths.flatmap(code_lists))
+def test_round_trips(codes):
+    belief = Belief(codes)
+    assert np.array_equal(belief.codes, np.array(codes, dtype=np.int8))
+    assert Belief(belief.codes) == belief
+    assert Belief.from_string(belief.to_string()) == belief
+    assert belief.to_string() == "".join("0u1"[c] for c in codes)
+    assert [belief.value_at(i + 1) for i in range(len(codes))] == [TruthValue(c) for c in codes]
+
+
+@given(lengths.flatmap(lambda n: code_lists(n, (0, 2))))
+def test_ground_truth_round_trips(codes):
+    truth = GroundTruth(codes)
+    assert np.array_equal(truth.codes, np.array(codes, dtype=np.int8))
+    assert GroundTruth(truth.codes) == truth
+    assert truth.to_string() == "".join("0?1"[c] for c in codes)
+    assert np.array_equal(truth.as_belief().codes, truth.codes)
+
+
+@given(lengths.flatmap(code_lists))
+def test_equal_beliefs_hash_equal(codes):
+    a, b = Belief(codes), Belief(list(codes))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b, fuse_beliefs(a, b)}) == 1
+
+
+def test_equality_needs_equal_length():
+    assert Belief.unknown(3) != Belief.unknown(4)
+    assert GroundTruth([0, 0]) != GroundTruth([0])
+
+
+@pytest.mark.parametrize("make", [lambda: Belief.from_string("0u1" * 50), lambda: GroundTruth([2, 0] * 70)])
+def test_codes_is_read_only_int8(make):
+    codes = make().codes
+    assert codes.dtype == np.int8
+    with pytest.raises(ValueError):
+        codes[0] = 1
+
+
+@given(
+    beliefs=st.lists(lengths.flatmap(code_lists), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_select_target_matches_flatnonzero_draw(beliefs, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for codes in beliefs:
+        belief = Belief(codes)
+        candidates = np.flatnonzero(belief.codes == 1) + 1
+        expected = int(candidates[int(ref_rng.integers(len(candidates)))]) if len(candidates) else None
+        assert select_target(belief, rng) == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    truth=lengths.flatmap(lambda n: code_lists(n, (0, 2))),
+    data=st.data(),
+    eps=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observe_matches_code_reference(truth, data, eps, seed):
+    truth = GroundTruth(truth)
+    index = data.draw(st.integers(1, len(truth)))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    evidence = observe(index, truth, NoiseModel(eps), rng)
+    code = int(truth.codes[index - 1])
+    if ref_rng.random() < eps:
+        code = 2 - code
+    expected = np.full(len(truth), 1, dtype=np.int8)
+    expected[index - 1] = code
+    assert np.array_equal(evidence.codes, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -101,6 +101,20 @@ class TestValidate:
         assert err.count("\n") == 1
         assert override.split("=")[0] in err
 
+    # Sweep-shaped configs: the fixed fields and every list entry must be
+    # checked by validate exactly as sweep checks them.
+    @pytest.mark.parametrize("subcommand", ["validate", "sweep"])
+    @pytest.mark.parametrize("override", ["m=abc", "C_r=[NaN]", "topology=[5]"])
+    def test_malformed_sweep_value_exits_2_with_one_line(self, subcommand, override, tmp_path, capsys):
+        argv = [subcommand, "--config", "configs/smoke.json", "--set", override,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert override.split("=")[0] in captured.err
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -181,6 +195,17 @@ class TestSweepSubcommand:
                      "--workers", "2"]) == 0
         for name in ("sweep_results.csv", "cell_summary.csv", "trajectories.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_2(self, sweep_config, tmp_path, workers, capsys):
+        argv = ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "out"),
+                "--workers", workers]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "--workers" in err
+        assert not (tmp_path / "out").exists()
 
     def test_repeat_invocation_identical_bytes(self, sweep_config, tmp_path):
         out1 = tmp_path / "a"

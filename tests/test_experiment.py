@@ -78,6 +78,16 @@ class TestExpand:
         with pytest.raises(ConfigError, match=field):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("m", "abc"), ("speed", float("nan")), ("C_r", [20, float("nan")]), ("topology", [5]),
+         ("topology", ["lattice:3"]), ("epsilon", [0.0, 0.7])],
+    )
+    def test_malformed_cell_or_fixed_field_rejected(self, field, value):
+        spec = SweepSpec(**{**TINY, field: value})
+        with pytest.raises(ConfigError, match=field):
+            spec.validate()
+
     def test_scalars_normalized_to_lists(self):
         spec = SweepSpec(topology="complete", C_r=20, C_f=0.1, epsilon=0.0,
                          repeats=1, **TINY)
