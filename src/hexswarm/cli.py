@@ -26,8 +26,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .agent import Mode
-from .engine import RunRecord, SimConfig, initialize, run, tick
+from .engine import SimConfig, run
+
+# Bound here although nothing in this module calls them: the benchmark's
+# tracer (perfbench/tracer.py) wraps ``hexswarm.cli.initialize`` and ``tick``.
+from .engine import initialize, tick  # noqa: F401
 from .errors import ConfigError
 from .experiment import (
     SweepSpec,
@@ -61,7 +64,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer literal past Python's digit limit
         value = raw
     return key, value
 
@@ -112,7 +115,7 @@ def _load_config_data(invocation: CliInvocation) -> dict:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {invocation.config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config {invocation.config_path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {invocation.config_path} must be a JSON object")
@@ -153,45 +156,6 @@ def _build_sweep_spec(data: dict, seed: int | None) -> SweepSpec:
     return spec
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
-def _trace_run(config: SimConfig, every_tick: bool) -> tuple[RunRecord, list[str]]:
-    """Run while collecting agent trace lines; mirrors engine.run()."""
-    from .engine import _sample, consensus_reached  # local: private helpers
-
-    state = initialize(config)
-    lines = [a.log_line(0) for a in state.agents]
-    trajectory = [_sample(state)]
-    converged = False
-    for t in range(1, config.max_ticks + 1):
-        tick(state)
-        sampled = t % config.sample_every == 0
-        if every_tick or sampled:
-            lines.extend(a.log_line(t) for a in state.agents)
-        if sampled:
-            trajectory.append(_sample(state))
-        if all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
-            [a.belief for a in state.agents]
-        ):
-            converged = True
-            break
-    terminal = state.tick_index
-    if trajectory[-1].tick != terminal:
-        trajectory.append(_sample(state))
-        if not every_tick:
-            lines.extend(a.log_line(terminal) for a in state.agents)
-    record = RunRecord(
-        config=dataclasses.asdict(config),
-        trajectory=trajectory,
-        terminal_tick=terminal,
-        converged=converged,
-        steady_state_error=trajectory[-1].average_error,
-    )
-    return record, lines
-
-
 def execute(invocation: CliInvocation) -> int:
     data = _load_config_data(invocation)
 
@@ -210,13 +174,19 @@ def execute(invocation: CliInvocation) -> int:
         return 0
 
     out_dir = Path(invocation.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if invocation.subcommand in ("run", "trace"):
         config = _build_run_config(data, invocation.seed)
-        record, lines = _trace_run(config, every_tick=invocation.subcommand == "trace")
-        _write_text(out_dir / "run_record.json", record.to_json() + "\n")
-        _write_text(out_dir / "trace.log", "\n".join(lines) + "\n")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        every_tick = invocation.subcommand == "trace"
+        lines: list[str] = []
+
+        def log_agents(state, sampled):
+            if every_tick or sampled:
+                lines.extend(a.log_line(state.tick_index) for a in state.agents)
+
+        record = run(config, on_tick=log_agents)
+        (out_dir / "run_record.json").write_text(record.to_json() + "\n")
+        (out_dir / "trace.log").write_text("\n".join(lines) + "\n")
         status = "consensus" if record.converged else "no consensus"
         print(
             f"run finished: {status} at tick {record.terminal_tick}, "
@@ -226,6 +196,7 @@ def execute(invocation: CliInvocation) -> int:
 
     # sweep
     spec = _build_sweep_spec(data, invocation.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     records = run_sweep(spec, workers=invocation.workers)
     grouped = group_by_cell(spec, records)
     summaries = aggregate(grouped)

@@ -29,7 +29,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,7 +65,11 @@ def require_int(name: str, value: object) -> None:
 
 def require_finite(name: str, value: object) -> None:
     """Raise ConfigError unless ``value`` is a finite real number (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a float
+        finite = False
+    if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -289,27 +293,36 @@ def _sample(state: SimState) -> TrajectoryPoint:
     )
 
 
-def run(config: SimConfig) -> RunRecord:
-    """Run to unanimous consensus or the tick cap, sampling metrics on the way."""
+def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = None) -> RunRecord:
+    """Run to unanimous consensus or the tick cap, sampling metrics on the way.
+
+    ``on_tick(state, sampled)``, when given, is called once after
+    ``initialize`` and once after every tick. ``sampled`` is True exactly
+    when that tick is a trajectory row: tick 0, every ``sample_every``-th
+    tick and the terminal tick. It observes the state and must not change
+    it; the CLI uses it to write agent trace lines.
+    """
     state = initialize(config)
     trajectory = [_sample(state)]
+    if on_tick is not None:
+        on_tick(state, True)
     converged = False
     for t in range(1, config.max_ticks + 1):
         tick(state)
-        if t % config.sample_every == 0:
-            trajectory.append(_sample(state))
-        if all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
+        converged = all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
             [a.belief for a in state.agents]
-        ):
-            converged = True
+        )
+        sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
+        if sampled:
+            trajectory.append(_sample(state))
+        if on_tick is not None:
+            on_tick(state, sampled)
+        if converged:
             break
-    terminal = state.tick_index
-    if trajectory[-1].tick != terminal:
-        trajectory.append(_sample(state))
     return RunRecord(
         config=asdict(config),
         trajectory=trajectory,
-        terminal_tick=terminal,
+        terminal_tick=state.tick_index,
         converged=converged,
         steady_state_error=trajectory[-1].average_error,
     )

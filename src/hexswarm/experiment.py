@@ -142,8 +142,7 @@ def _ci95(values: Sequence[float]) -> float:
 
 def _cell_columns(config: dict) -> tuple[str, int]:
     """(topology tag, connectivity k) as written to the CSV outputs."""
-    kind, k = parse_topology(config["topology"])
-    return kind, (config["m"] - 1 if kind == "complete" else k)
+    return parse_topology(config["topology"])[0], SimConfig(**config).connectivity()
 
 
 @dataclass

@@ -1,20 +1,29 @@
 """Tests for the command-line front end."""
 
+import dataclasses
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hexswarm.cli import main, parse_and_validate
+from hexswarm.agent import Mode
+from hexswarm.cli import RUN_KEYS, SWEEP_KEYS, main, parse_and_validate
+from hexswarm.engine import RunRecord, SimConfig, _sample, consensus_reached, initialize, run, tick
+
+RUN_CONFIG = {
+    "m": 4, "hex_disc_radius": 1, "C_r": 20, "C_f": 0.2,
+    "epsilon": 0.1, "max_ticks": 300, "seed": 5, "sample_every": 50,
+}
 
 
 @pytest.fixture
 def run_config(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({
-        "m": 4, "hex_disc_radius": 1, "C_r": 20, "C_f": 0.2,
-        "epsilon": 0.1, "max_ticks": 300, "seed": 5, "sample_every": 50,
-    }))
+    path.write_text(json.dumps(RUN_CONFIG))
     return path
 
 
@@ -82,24 +91,34 @@ class TestValidate:
         assert code == 2
         assert "warp_factor" in capsys.readouterr().err
 
+    # ids: the bare override for validate, "<override>-<subcommand>" otherwise
     @pytest.mark.parametrize(
-        "override",
+        "subcommand,override",
         [
-            "m=abc",
-            "hex_disc_radius=2.5",
-            "seed=-1",
-            "max_ticks=1.5",
-            "sample_every=1.5",
-            "speed=NaN",
-            "C_r=NaN",
+            pytest.param(
+                subcommand,
+                override,
+                id=override if subcommand == "validate" else f"{override}-{subcommand}",
+            )
+            for subcommand in ("validate", "run", "trace")
+            for override in (
+                "m=abc",
+                "hex_disc_radius=2.5",
+                "seed=-1",
+                "max_ticks=1.5",
+                "sample_every=1.5",
+                "speed=NaN",
+                "C_r=NaN",
+            )
         ],
     )
-    def test_malformed_value_exits_2_with_one_line(self, override, capsys):
-        assert main(["validate", "--set", override]) == 2
+    def test_malformed_value_exits_2_with_one_line(self, subcommand, override, tmp_path, capsys):
+        assert main([subcommand, "--set", override, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert override.split("=")[0] in err
+        assert not (tmp_path / "out").exists()
 
     # Sweep-shaped configs: the fixed fields and every list entry must be
     # checked by validate exactly as sweep checks them.
@@ -114,6 +133,7 @@ class TestValidate:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert override.split("=")[0] in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
@@ -123,6 +143,49 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-1, 0, 1, 2, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+override_values = st.one_of(
+    json_values.map(json.dumps),  # json.dumps writes NaN and Infinity bare
+    st.sampled_from(["NaN", "-Infinity", "true", "abc", "", "[", "1" * 5000]),
+    st.text(max_size=6).map(lambda junk: f"lattice:{junk}"),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overrides=st.lists(
+        st.tuples(st.sampled_from(sorted(RUN_KEYS | SWEEP_KEYS | {"warp_factor"})), override_values),
+        min_size=1,
+        max_size=3,
+    ),
+    with_config=st.booleans(),
+)
+def test_validate_fuzzed_overrides_exit_0_or_2(overrides, with_config):
+    argv = ["validate"] + (["--config", "configs/smoke.json"] if with_config else [])
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 class TestRunSubcommand:
@@ -152,9 +215,7 @@ class TestRunSubcommand:
         assert record["config"]["seed"] == 77
 
     def test_record_matches_engine_run(self, run_config, tmp_path):
-        # the CLI's tracing loop must not drift from the engine's run()
-        from hexswarm.engine import SimConfig, run
-
+        # run_record.json is engine.run()'s record; the trace log only observes it
         out = tmp_path / "o4"
         assert main(["run", "--config", str(run_config), "--out", str(out)]) == 0
         written = (out / "run_record.json").read_text()
@@ -175,6 +236,75 @@ class TestRunSubcommand:
         assert trace_lines > run_lines
         record = json.loads((out_trace / "run_record.json").read_text())
         assert trace_lines == 4 * (record["summary"]["terminal_tick"] + 1)
+
+
+def reference_trace_run(config: SimConfig, every_tick: bool) -> tuple[str, str]:
+    """The CLI's own run loop from before ``run`` and ``trace`` became an
+    ``on_tick`` observer of engine.run(), kept as the reference for the bytes
+    of run_record.json and trace.log."""
+    state = initialize(config)
+    lines = [a.log_line(0) for a in state.agents]
+    trajectory = [_sample(state)]
+    converged = False
+    for t in range(1, config.max_ticks + 1):
+        tick(state)
+        sampled = t % config.sample_every == 0
+        if every_tick or sampled:
+            lines.extend(a.log_line(t) for a in state.agents)
+        if sampled:
+            trajectory.append(_sample(state))
+        if all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
+            [a.belief for a in state.agents]
+        ):
+            converged = True
+            break
+    terminal = state.tick_index
+    if trajectory[-1].tick != terminal:
+        trajectory.append(_sample(state))
+        if not every_tick:
+            lines.extend(a.log_line(terminal) for a in state.agents)
+    record = RunRecord(
+        config=dataclasses.asdict(config),
+        trajectory=trajectory,
+        terminal_tick=terminal,
+        converged=converged,
+        steady_state_error=trajectory[-1].average_error,
+    )
+    return record.to_json() + "\n", "\n".join(lines) + "\n"
+
+
+# (overrides on RUN_CONFIG, how the run must end: "cap", "converged" or None)
+REFERENCE_CASES = {
+    **{f"seed{s}": ({"seed": s}, None) for s in range(8)},
+    "cap-not-multiple": ({"C_f": 0.0, "epsilon": 0.3, "max_ticks": 237, "seed": 7}, "cap"),
+    "sample-every-1": ({"sample_every": 1}, None),
+    "asocial-cap": ({"C_f": 0.0, "epsilon": 0.3, "max_ticks": 200, "seed": 7}, "cap"),
+    "social-converges": (
+        {"m": 5, "C_r": 25.0, "C_f": 0.5, "epsilon": 0.3, "topology": "lattice:2",
+         "max_ticks": 400, "seed": 2024, "sample_every": 40},
+        "converged",
+    ),
+}
+
+
+class TestRunLoopReference:
+    @pytest.mark.parametrize("subcommand", ["run", "trace"])
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_outputs_match_reference_loop(self, subcommand, case, tmp_path):
+        overrides, ending = REFERENCE_CASES[case]
+        data = {**RUN_CONFIG, **overrides}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+        record_text, log_text = reference_trace_run(SimConfig(**data), subcommand == "trace")
+        assert (out / "run_record.json").read_text() == record_text
+        assert (out / "trace.log").read_text() == log_text
+        summary = json.loads(record_text)["summary"]
+        if ending == "cap":
+            assert not summary["converged"] and summary["terminal_tick"] == data["max_ticks"]
+        elif ending == "converged":
+            assert summary["converged"] and summary["terminal_tick"] % data["sample_every"] != 0
 
 
 class TestSweepSubcommand:

@@ -54,6 +54,7 @@ class TestConfig:
             ("topology", 5),
             ("m", True),
             ("C_f", float("inf")),
+            ("C_r", 10**400),
         ],
     )
     def test_validation_names_the_field(self, field, value):

@@ -7,6 +7,13 @@ consumed, or altering the matching policy will shift these values and
 must be treated as a breaking change.
 """
 
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from hexswarm.cli import main
 from hexswarm.engine import SimConfig, run
 
 GOLDEN_SOCIAL = {
@@ -51,3 +58,21 @@ def test_golden_social_run():
 
 def test_golden_asocial_run():
     check_golden(GOLDEN_ASOCIAL)
+
+
+# sha256 of trace.log written by `hexswarm run` (sampled ticks) and
+# `hexswarm trace` (every tick) for the GOLDEN_SOCIAL config.
+GOLDEN_SOCIAL_TRACE_LOG = {
+    "run": "9bf7e8845c8edfd8d4de7b7407822ab7227bf07bccc88fb57edce2073ba2ae64",
+    "trace": "f3c9b437237a4ffb0166274d31dfe1574a587c9e8525130da25ff430dbba7eb5",
+}
+
+
+@pytest.mark.parametrize("subcommand", list(GOLDEN_SOCIAL_TRACE_LOG))
+def test_golden_social_trace_log(subcommand, tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(dataclasses.asdict(GOLDEN_SOCIAL["config"])))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "trace.log").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SOCIAL_TRACE_LOG[subcommand]
