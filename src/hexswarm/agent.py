@@ -8,6 +8,11 @@ partner. Once its belief is fully certain the agent saturates: it stops
 looking for evidence and instead wanders between random cells,
 broadcasting continuously to pull the rest of the population toward
 consensus.
+
+The tick moves the population with ``move_agents``, one pass that advances
+every agent and detects arrivals. ``advance_position`` and ``at_target``
+are its per-agent reference: the pass does exactly their arithmetic and
+draws, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -131,7 +136,8 @@ def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator)
 
     Saturated agents head for a randomly drawn cell center and redraw it
     on arrival; everyone else heads for their target cell. Movement never
-    overshoots the destination.
+    overshoots the destination. This is the reference for the movement
+    half of ``move_agents``, which the tick uses instead.
     """
     if agent.mode is Mode.SATURATED:
         if agent.waypoint is None:
@@ -158,8 +164,69 @@ def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator)
 
 
 def at_target(agent: AgentState, grid: HexGrid) -> bool:
-    """True when the agent is within the arrival radius of its target cell."""
+    """True when the agent is within the arrival radius of its target cell.
+
+    This is the reference for the arrival half of ``move_agents``.
+    """
     if agent.target is None:
         return False
     cx, cy = grid.center_of(agent.target)
     return math.hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS
+
+
+def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generator) -> list[AgentState]:
+    """Phases 1-2 of the tick: move every agent, then say who arrived.
+
+    Agents are visited in list (id) order. Each one moves exactly as
+    ``advance_position`` moves it, with the same arithmetic and the same
+    waypoint draws in the same order, and then counts as arrived exactly
+    when ``at_target`` would say so of its new position. Returns the
+    arrived agents in list order; no arrival is handled here, so every
+    movement draw of a tick comes before every arrival draw.
+
+    Destinations are proposition indices the agents hold, always in
+    1..n, so centers are read without ``center_of``'s range check.
+    """
+    centers = grid.centers
+    n = len(centers)
+    # Locals, because global and enum attribute lookups are a measurable
+    # share of this loop.
+    hypot = math.hypot
+    saturated_mode = Mode.SATURATED
+    arrived = []
+    for agent in agents:
+        target = agent.target
+        saturated = agent.mode is saturated_mode
+        if saturated:
+            dest = agent.waypoint
+            if dest is None:
+                dest = agent.waypoint = int(rng.integers(n)) + 1
+        elif target is None:
+            continue
+        else:
+            dest = target
+        cx, cy = centers[dest - 1]
+        x = agent.x
+        y = agent.y
+        dx = cx - x
+        dy = cy - y
+        dist = hypot(dx, dy)
+        speed = agent.speed
+        if dist <= speed:
+            x = cx
+            y = cy
+            if saturated:
+                agent.waypoint = int(rng.integers(n)) + 1
+        else:
+            scale = speed / dist
+            x += dx * scale
+            y += dy * scale
+        agent.x = x
+        agent.y = y
+        if target is None:
+            continue
+        if target != dest:
+            cx, cy = centers[target - 1]
+        if hypot(cx - x, cy - y) <= ARRIVAL_RADIUS:
+            arrived.append(agent)
+    return arrived

@@ -2,8 +2,11 @@
 
 Each tick applies a fixed phase order:
 
-1. every agent advances toward its destination;
-2. agents that reached their target cell gather evidence and retarget;
+1. every agent advances toward its destination, in id order;
+2. agents that reached their target cell gather evidence and retarget,
+   in id order. Phases 1-2 are one pass, ``agent.move_agents``, that
+   moves every agent and collects the arrivals; ``on_arrival`` then runs
+   on those;
 3. proximity is computed from the new positions, among the currently
    broadcasting agents only;
 4. it is intersected with the interaction network's boolean matrix,
@@ -21,6 +24,9 @@ Communication frequency 0 is the asocial special case: nobody, saturated
 agents included, ever broadcasts, so no fusion can occur. Phases 3..5 are
 skipped entirely whenever fewer than two agents are broadcasting, which
 leaves no observable trace because nothing in them consumes randomness.
+
+``run`` checks for convergence only after a tick with an arrival or a
+fusion, the only events that change a mode or a belief.
 """
 
 from __future__ import annotations
@@ -33,27 +39,30 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import AgentState, Mode, advance_position, at_target, on_arrival, on_fusion, select_target
+from .agent import AgentState, Mode, move_agents, on_arrival, on_fusion, select_target
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
 from .errors import ConfigError
 from .network import InteractionNetwork, complete_graph, eligible_matrix, ring_lattice
 
-# The edge-set reference functions stay bound here although the tick no
-# longer calls them: the benchmark's tracer (perfbench/tracer.py) wraps
-# ``hexswarm.engine.physical_edges`` and ``eligible_edges`` by name.
+# The per-agent movement and edge-set reference functions stay bound here
+# although the tick no longer calls them: the benchmark's tracer
+# (perfbench/tracer.py) wraps ``hexswarm.engine.advance_position``,
+# ``at_target``, ``physical_edges`` and ``eligible_edges`` by name.
+from .agent import advance_position, at_target  # noqa: F401
 from .network import eligible_edges, physical_edges  # noqa: F401
 
 
 def parse_topology(topology: str) -> tuple[str, int | None]:
-    """Split a topology tag into (kind, k): "complete" or "lattice:<k>"."""
+    """Split a topology tag into (kind, k): "complete" or "lattice:<k>",
+    where k is written in ASCII decimal digits only (no sign, underscore or
+    other script), so the tag echoed into outputs names k plainly."""
     if topology == "complete":
         return "complete", None
     if topology.startswith("lattice:"):
-        try:
-            return "lattice", int(topology.split(":", 1)[1])
-        except ValueError:
-            pass
+        k = topology[len("lattice:"):]
+        if k.isascii() and k.isdigit():
+            return "lattice", int(k)
     raise ConfigError(f"topology must be 'complete' or 'lattice:<k>', got {topology!r}")
 
 
@@ -148,8 +157,11 @@ class SimState:
     rng: np.random.Generator
     tick_index: int = 0
     fusion_events: int = 0
-    # Fusion pairs formed during the most recent tick, for tracing/tests.
+    # Fusion pairs formed and agents that arrived at their target cell
+    # (in id order) during the most recent tick; ``run`` skips the
+    # convergence check when both are empty.
     last_fusions: list[tuple[int, int]] = field(default_factory=list)
+    last_arrivals: list[AgentState] = field(default_factory=list)
 
 
 @dataclass
@@ -265,12 +277,9 @@ def tick(state: SimState) -> SimState:
     rng = state.rng
     state.last_fusions = []
 
-    for agent in agents:
-        advance_position(agent, state.grid, rng)
-
-    for agent in agents:
-        if agent.target is not None and at_target(agent, state.grid):
-            on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
+    state.last_arrivals = move_agents(agents, state.grid, rng)
+    for agent in state.last_arrivals:
+        on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
 
     if cfg.C_f > 0:
         broadcasters = [a.id for a in agents if a.mode is not Mode.EXPLORING]
@@ -309,9 +318,15 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
     converged = False
     for t in range(1, config.max_ticks + 1):
         tick(state)
-        converged = all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
-            [a.belief for a in state.agents]
-        )
+        # Modes and beliefs change only in on_arrival and on_fusion. At tick
+        # 0 every belief is Unknown, so the run has not converged then, and a
+        # tick with neither an arrival nor a fusion leaves every mode and
+        # belief as the previous (unconverged) tick had them, so it cannot
+        # newly converge: the check is needed only after a tick with one.
+        if state.last_arrivals or state.last_fusions:
+            converged = all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
+                [a.belief for a in state.agents]
+            )
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
             trajectory.append(_sample(state))

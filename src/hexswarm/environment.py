@@ -45,9 +45,9 @@ class HexGrid:
         self.cells = tuple(cells)
         self.launch = launch
         self.circumradius = circumradius
-        # Cell centers indexed by proposition index - 1; plain tuples keep
-        # the per-tick lookups off the numpy scalar path.
-        self._centers = tuple((c.x, c.y) for c in cells)
+        # Cell centers indexed by proposition index - 1, read-only; plain
+        # tuples keep the per-tick lookups off the numpy scalar path.
+        self.centers = tuple((c.x, c.y) for c in cells)
 
     @property
     def n(self) -> int:
@@ -58,7 +58,7 @@ class HexGrid:
         """World coordinates of the center of proposition cell ``index``."""
         if not 1 <= index <= len(self.cells):
             raise ValueError(f"cell index {index} out of range 1..{len(self.cells)}")
-        return self._centers[index - 1]
+        return self.centers[index - 1]
 
     def to_table(self) -> str:
         """Plain-text dump: one ``index q r x y`` row per cell, launch first."""

@@ -1,10 +1,11 @@
 """Tests for the per-agent state machine."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexswarm.agent import (
@@ -12,12 +13,13 @@ from hexswarm.agent import (
     Mode,
     advance_position,
     at_target,
+    move_agents,
     on_arrival,
     on_fusion,
     select_target,
 )
 from hexswarm.belief import Belief, GroundTruth, uncertain_indices
-from hexswarm.environment import NoiseModel, build_grid
+from hexswarm.environment import ARRIVAL_RADIUS, NoiseModel, build_grid
 
 
 def make_agent(belief, mode=Mode.EXPLORING, target=None, x=0.0, y=0.0, speed=5.0):
@@ -215,6 +217,67 @@ class TestAdvancePosition:
         advance_position(agent, grid, np.random.default_rng(0))
         moved = math.hypot(agent.x - x, agent.y - y)
         assert moved <= speed + 1e-9
+
+
+@st.composite
+def populations(draw):
+    """A grid and agents in every mode, placed where the move and arrival
+    comparisons are closest: on cell centers, ARRIVAL_RADIUS (or one step
+    plus ARRIVAL_RADIUS) short of their destination, and with speeds equal
+    to the distance to it."""
+    grid = build_grid(draw(st.integers(1, 3)))
+    n = grid.n
+    cells = st.integers(1, n)
+    agents = []
+    for i in range(draw(st.integers(1, 12))):
+        mode = draw(st.sampled_from(list(Mode)))
+        target = draw(st.none() | cells)
+        waypoint = draw(st.none() | cells)
+        dest = waypoint if mode is Mode.SATURATED else target
+        speed = draw(st.sampled_from([0.5, 1.0, 5.0, 17.0]) | st.floats(0.1, 40))
+        anchor = grid.center_of(draw(cells)) if dest is None else grid.center_of(dest)
+        dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.28, 0.96)]))
+        x, y = draw(st.sampled_from([
+            anchor,
+            (0.0, 0.0),
+            (anchor[0] - ARRIVAL_RADIUS * dx, anchor[1] - ARRIVAL_RADIUS * dy),
+            (anchor[0] - (ARRIVAL_RADIUS + speed) * dx, anchor[1] - (ARRIVAL_RADIUS + speed) * dy),
+        ]) | st.tuples(st.floats(-80, 80), st.floats(-80, 80)))
+        if draw(st.booleans()):
+            # dist == speed exactly, whenever the destination is not drawn in the pass
+            speed = math.hypot(anchor[0] - x, anchor[1] - y) or speed
+        agents.append(AgentState(id=i, x=x, y=y, belief=Belief.unknown(n), mode=mode,
+                                 target=target, waypoint=waypoint, speed=speed))
+    return grid, agents
+
+
+class TestMoveAgents:
+    @settings(max_examples=300, deadline=None)
+    @given(population=populations(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_agent_reference(self, population, seed):
+        grid, agents = population
+        expected = copy.deepcopy(agents)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        arrived = move_agents(agents, grid, rng)
+        for agent in expected:
+            advance_position(agent, grid, ref_rng)
+        expected_arrived = [a.id for a in expected if at_target(a, grid)]
+
+        assert [a.id for a in arrived] == expected_arrived
+        assert all(a is agents[a.id] for a in arrived)
+        assert [(a.x, a.y, a.waypoint, a.target, a.mode) for a in agents] == [
+            (a.x, a.y, a.waypoint, a.target, a.mode) for a in expected
+        ]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_arrival_at_exactly_the_radius(self):
+        grid = build_grid(2)
+        cx, cy = grid.center_of(5)
+        on_edge = make_agent(Belief.unknown(grid.n), target=5, x=cx - ARRIVAL_RADIUS - 0.5, y=cy, speed=0.5)
+        short = make_agent(Belief.unknown(grid.n), target=5, x=cx - ARRIVAL_RADIUS - 0.75, y=cy, speed=0.5)
+        assert move_agents([on_edge, short], grid, np.random.default_rng(0)) == [on_edge]
+        assert on_edge.x == cx - ARRIVAL_RADIUS
 
 
 class TestLogLine:

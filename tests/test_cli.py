@@ -109,6 +109,10 @@ class TestValidate:
                 "sample_every=1.5",
                 "speed=NaN",
                 "C_r=NaN",
+                # int() reads these as k=2, 10 and 2; only ASCII digits are a k.
+                "topology=lattice:+2",
+                "topology=lattice:1_0",
+                "topology=lattice:\u0662",
             )
         ],
     )

@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexswarm import engine
-from hexswarm.agent import Mode, on_fusion
+from hexswarm.agent import Mode, advance_position, at_target, on_arrival, on_fusion
 from hexswarm.belief import Belief, GroundTruth
 from hexswarm.engine import (
+    RunRecord,
     SimConfig,
     average_error,
     consensus_reached,
@@ -65,8 +66,9 @@ class TestConfig:
     def test_parse_topology(self):
         assert parse_topology("complete") == ("complete", None)
         assert parse_topology("lattice:8") == ("lattice", 8)
-        with pytest.raises(ConfigError):
-            parse_topology("lattice:x")
+        for tag in ("lattice:x", "lattice:", "lattice:+2", "lattice:2_0", "lattice:\u0662", "lattice: 2"):
+            with pytest.raises(ConfigError):
+                parse_topology(tag)
 
     def test_connectivity(self):
         assert SimConfig(topology="complete", m=20).connectivity() == 19
@@ -248,6 +250,102 @@ class TestFusionPhaseMatchesEdgeSetReference:
         monkeypatch.setattr(engine, "_run_fusion_phase", reference_fusion_phase)
         assert record == run(config).to_json()
         assert json.loads(record)["summary"]["fusion_events"] > 0
+
+
+def reference_tick(state):
+    """The tick with phases 1-2 as two per-agent loops: every agent moves by
+    advance_position, then every agent at_target handles its arrival."""
+    cfg, agents, rng = state.config, state.agents, state.rng
+    state.last_fusions = []
+    for agent in agents:
+        advance_position(agent, state.grid, rng)
+    for agent in agents:
+        if agent.target is not None and at_target(agent, state.grid):
+            on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
+    if cfg.C_f > 0:
+        broadcasters = [a.id for a in agents if a.mode is not Mode.EXPLORING]
+        if len(broadcasters) >= 2:
+            engine._run_fusion_phase(state, broadcasters)
+    state.tick_index += 1
+    return state
+
+
+def reference_run(config):
+    """engine.run with reference_tick and the convergence check after every tick."""
+    state = initialize(config)
+    trajectory = [engine._sample(state)]
+    converged = False
+    for t in range(1, config.max_ticks + 1):
+        reference_tick(state)
+        converged = all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
+            [a.belief for a in state.agents]
+        )
+        if t % config.sample_every == 0 or converged or t == config.max_ticks:
+            trajectory.append(engine._sample(state))
+        if converged:
+            break
+    return RunRecord(
+        config=dataclasses.asdict(config),
+        trajectory=trajectory,
+        terminal_tick=state.tick_index,
+        converged=converged,
+        steady_state_error=trajectory[-1].average_error,
+    )
+
+
+class TestRunMatchesTwoLoopReference:
+    @pytest.mark.parametrize(
+        "overrides,converges",
+        [
+            (dict(m=4, hex_disc_radius=1, C_f=0.0, epsilon=0.0, seed=21), True),
+            (dict(m=4, hex_disc_radius=1, C_f=0.0, epsilon=0.0, seed=5, sample_every=1), True),
+            (dict(m=6, hex_disc_radius=2, C_f=0.2, epsilon=0.1, seed=11), True),
+            (dict(m=5, hex_disc_radius=2, C_r=25.0, C_f=0.5, epsilon=0.3, topology="lattice:2", seed=2024,
+                  sample_every=1), True),
+            (dict(m=10, hex_disc_radius=2, C_f=1.0, epsilon=0.3, topology="lattice:2", seed=3), True),
+            (dict(m=7, hex_disc_radius=2, C_f=0.1, speed=1.3, seed=4), True),
+            (dict(m=8, hex_disc_radius=2, C_r=40.0, C_f=0.1, speed=17.0, seed=9, sample_every=7), True),
+            (dict(seed=42), True),
+            (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237), False),
+        ],
+    )
+    def test_record_bytes(self, overrides, converges):
+        config = SimConfig(**{"max_ticks": 5000, "sample_every": 50, **overrides})
+        record = run(config)
+        assert record.to_json() == reference_run(config).to_json()
+        assert record.converged is converges
+        if not converges:
+            assert record.terminal_tick == config.max_ticks
+
+
+@st.composite
+def small_configs(draw):
+    m = draw(st.integers(2, 8))
+    topology = draw(st.sampled_from(["complete"] + (["lattice:2"] if m >= 4 else [])))
+    return SimConfig(m=m, hex_disc_radius=draw(st.integers(1, 2)), topology=topology,
+                     C_r=draw(st.sampled_from([CELL_SPACING, 20.0, 40.0])),
+                     C_f=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                     epsilon=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                     speed=draw(st.sampled_from([1.3, 5.0, 17.0])),
+                     max_ticks=400, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConvergenceSkip:
+    @settings(max_examples=60, deadline=None)
+    @given(config=small_configs())
+    def test_quiet_ticks_change_no_mode_or_belief(self, config):
+        # run() checks convergence only after a tick with an arrival or a
+        # fusion; that is exact only while nothing else changes a mode or a
+        # belief.
+        previous = []
+
+        def on_tick(state, sampled):
+            current = [(a.mode, a.belief) for a in state.agents]
+            if state.tick_index and not state.last_arrivals and not state.last_fusions:
+                assert current == previous, f"tick {state.tick_index}"
+            previous[:] = current
+
+        run(config, on_tick)
 
 
 class TestConsensus:
