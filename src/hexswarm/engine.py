@@ -7,10 +7,12 @@ Each tick applies a fixed phase order:
    in id order. Phases 1-2 are one pass, ``agent.move_agents``, that
    moves every agent and collects the arrivals; ``on_arrival`` then runs
    on those;
-3. proximity is computed from the new positions, among the currently
-   broadcasting agents only;
-4. it is intersected with the interaction network's boolean matrix,
-   giving the eligible pairs;
+3. each broadcasting agent, in ascending id order, is linked to those of
+   its higher-id interaction neighbours that also broadcast;
+4. of those linked pairs, the ones within ``C_r`` of each other at the
+   new positions are eligible. Phases 3-4 are one pass,
+   ``network.eligible_partners``, so distance is tested only for pairs
+   the interaction network allows;
 5. broadcasting agents are visited in seeded-random order and greedily
    matched into fusing pairs, each pair fusing mutually at most once per
    tick;
@@ -43,7 +45,7 @@ from .agent import AgentState, Mode, move_agents, on_arrival, on_fusion, select_
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
 from .errors import ConfigError
-from .network import InteractionNetwork, complete_graph, eligible_matrix, ring_lattice
+from .network import InteractionNetwork, complete_graph, eligible_partners, ring_lattice
 
 # The per-agent movement and edge-set reference functions stay bound here
 # although the tick no longer calls them: the benchmark's tracer
@@ -55,14 +57,18 @@ from .network import eligible_edges, physical_edges  # noqa: F401
 
 def parse_topology(topology: str) -> tuple[str, int | None]:
     """Split a topology tag into (kind, k): "complete" or "lattice:<k>",
-    where k is written in ASCII decimal digits only (no sign, underscore or
-    other script), so the tag echoed into outputs names k plainly."""
+    where k is written in ASCII decimal digits only, without a leading zero
+    (no sign, underscore or other script), so the tag echoed into outputs
+    names k plainly and each k has one tag."""
     if topology == "complete":
         return "complete", None
     if topology.startswith("lattice:"):
         k = topology[len("lattice:"):]
-        if k.isascii() and k.isdigit():
-            return "lattice", int(k)
+        try:
+            if k.isascii() and k.isdigit() and k == str(int(k)):
+                return "lattice", int(k)
+        except ValueError:  # more digits than int() converts
+            pass
     raise ConfigError(f"topology must be 'complete' or 'lattice:<k>', got {topology!r}")
 
 
@@ -239,21 +245,13 @@ def average_error(beliefs: list[Belief], truth: GroundTruth) -> float:
 
 def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     agents = state.agents
-    ids = np.array(broadcasters)
-    positions = np.array([(agents[i].x, agents[i].y) for i in broadcasters])
-    elig = eligible_matrix(positions, state.config.C_r, state.network.matrix[ids][:, ids])
-    rows, cols = np.nonzero(elig)
-    if not len(rows):
+    # Each partner list is in ascending id order, which the candidate draw
+    # below depends on.
+    adjacency = eligible_partners(broadcasters, agents, state.config.C_r, state.network)
+    if not adjacency:
         return
-    # np.nonzero is row-major, so each agent's partners come in ascending id
-    # order, which the candidate draw below depends on.
-    adjacency: dict[int, list[int]] = {}
-    for p, q in zip(rows.tolist(), cols.tolist()):
-        adjacency.setdefault(broadcasters[p], []).append(broadcasters[q])
     matched: set[int] = set()
-    order = state.rng.permutation(broadcasters)
-    for i in order:
-        i = int(i)
+    for i in state.rng.permutation(broadcasters).tolist():
         if i in matched or i not in adjacency:
             continue
         candidates = [j for j in adjacency[i] if j not in matched]

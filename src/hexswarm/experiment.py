@@ -118,6 +118,9 @@ def expand(spec: SweepSpec) -> list[tuple[SimConfig, int]]:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     """Execute every trial of the sweep; output order matches expand()."""
     configs = [config for config, _ in expand(spec)]
+    # The pool may start all of its workers at the first submit, so ask for
+    # no more than there are trials.
+    workers = min(workers, len(configs))
     if workers <= 1:
         return [run(config) for config in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

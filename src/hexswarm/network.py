@@ -9,9 +9,10 @@ both endpoints are currently broadcasting.
 
 Agents are identified by 0-based indices; edges are (i, j) tuples with i < j.
 Edge sets, with ``physical_edges`` and ``eligible_edges``, are the
-reference representation. The tick uses the interaction network's boolean
-``matrix`` instead and computes proximity among broadcasters only, through
-``eligible_matrix``; the two must agree pair for pair.
+reference representation. The tick instead calls ``eligible_partners``,
+which walks each broadcaster's higher-id interaction neighbours
+(``InteractionNetwork.upper``) and tests distance only for linked pairs
+that both broadcast; the two must agree pair for pair.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ Edge = tuple[int, int]
 class InteractionNetwork:
     """Immutable undirected graph over m agents.
 
-    ``edges`` holds the links as (i, j) tuples with i < j; ``matrix`` holds
-    the same graph as a read-only symmetric ``(m, m)`` bool array.
+    ``edges`` holds the links as (i, j) tuples with i < j; ``upper[i]`` holds
+    the neighbours of i with a larger id, in ascending order, so the tuples
+    together list every edge exactly once.
     """
 
     def __init__(self, m: int, edges: Iterable[Edge], topology: str, k: int):
@@ -42,11 +44,7 @@ class InteractionNetwork:
             adj[i].add(j)
             adj[j].add(i)
         self._adj = tuple(frozenset(s) for s in adj)
-        matrix = np.zeros((m, m), dtype=bool)
-        for i, j in self.edges:
-            matrix[i, j] = matrix[j, i] = True
-        matrix.flags.writeable = False
-        self.matrix = matrix
+        self.upper = tuple(tuple(sorted(j for j in s if j > i)) for i, s in enumerate(adj))
 
     def neighbors(self, i: int) -> frozenset[int]:
         return self._adj[i]
@@ -114,14 +112,33 @@ def eligible_edges(
     }
 
 
-def eligible_matrix(positions: np.ndarray, radius: float, allowed: np.ndarray) -> np.ndarray:
-    """Eligible-pair matrix among the broadcasting agents.
+def eligible_partners(
+    broadcasters: list[int], agents: Sequence, radius: float, interaction: InteractionNetwork
+) -> dict[int, list[int]]:
+    """Eligible partners of each broadcaster that has any.
 
-    ``positions`` is the ``(b, 2)`` array of the broadcasters' positions in
-    ascending id order and ``allowed`` the interaction matrix restricted to
-    them, ``matrix[ids][:, ids]``. Entry ``[p, q]`` is True when the pair is
-    within ``radius`` (closed ball, decided by the same float expression as
-    ``physical_edges``) and linked in the interaction layer.
+    ``broadcasters`` are the broadcasting ids in ascending order and
+    ``agents[i]`` has the position ``.x``, ``.y`` of agent i. The pairs are
+    exactly those of ``eligible_edges(physical_edges(...))``: the distance
+    test is the same float expression, since ``dx*dx + dy*dy`` adds the two
+    products in the order numpy's two-element ``sum(axis=2)`` does. Visiting
+    broadcasters and their higher-id neighbours in ascending order appends
+    to every partner list in ascending id order, with no sort.
     """
-    deltas = positions[:, None, :] - positions[None, :, :]
-    return ((deltas * deltas).sum(axis=2) <= radius * radius) & allowed
+    limit = radius * radius
+    upper = interaction.upper
+    broadcasting = set(broadcasters)
+    partners: dict[int, list[int]] = {}
+    for i in broadcasters:
+        a = agents[i]
+        xi, yi = a.x, a.y
+        for j in upper[i]:
+            if j not in broadcasting:
+                continue
+            b = agents[j]
+            dx = xi - b.x
+            dy = yi - b.y
+            if dx * dx + dy * dy <= limit:
+                partners.setdefault(i, []).append(j)
+                partners.setdefault(j, []).append(i)
+    return partners

@@ -109,10 +109,13 @@ class TestValidate:
                 "sample_every=1.5",
                 "speed=NaN",
                 "C_r=NaN",
-                # int() reads these as k=2, 10 and 2; only ASCII digits are a k.
+                # int() reads these as k=2, 10, 2, 2 and 2; only ASCII digits
+                # without a leading zero are a k.
                 "topology=lattice:+2",
                 "topology=lattice:1_0",
                 "topology=lattice:\u0662",
+                "topology=lattice:02",
+                "topology=lattice:002",
             )
         ],
     )

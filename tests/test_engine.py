@@ -66,7 +66,8 @@ class TestConfig:
     def test_parse_topology(self):
         assert parse_topology("complete") == ("complete", None)
         assert parse_topology("lattice:8") == ("lattice", 8)
-        for tag in ("lattice:x", "lattice:", "lattice:+2", "lattice:2_0", "lattice:\u0662", "lattice: 2"):
+        for tag in ("lattice:x", "lattice:", "lattice:+2", "lattice:2_0", "lattice:\u0662", "lattice: 2",
+                    "lattice:02", "lattice:002", "lattice:" + "1" * 5000):
             with pytest.raises(ConfigError):
                 parse_topology(tag)
 
@@ -242,6 +243,8 @@ class TestFusionPhaseMatchesEdgeSetReference:
             dict(m=10, topology="lattice:2", C_f=1.0, epsilon=0.3, seed=3),
             dict(m=12, topology="complete", C_r=CELL_SPACING, C_f=0.5, epsilon=0.1, seed=8),
             dict(m=9, topology="lattice:4", C_r=35.0, C_f=0.2, epsilon=0.0, seed=21),
+            # Nearly every pair is eligible on every tick.
+            dict(m=12, topology="complete", C_r=100.0, C_f=1.0, epsilon=0.1, seed=5),
         ],
     )
     def test_whole_run(self, overrides, monkeypatch):

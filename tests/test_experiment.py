@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hexswarm import experiment
 from hexswarm.engine import RunRecord, TrajectoryPoint
 from hexswarm.errors import ConfigError
 from hexswarm.experiment import (
@@ -185,6 +186,31 @@ class TestRunSweepAndCsv:
         spec, records = tiny_sweep
         parallel = run_sweep(spec, workers=2)
         assert [r.to_json() for r in parallel] == [r.to_json() for r in records]
+
+    @pytest.mark.parametrize("workers,pool_size", [(3, 3), (64, 4)])
+    def test_pool_no_larger_than_the_trial_count(self, tiny_sweep, monkeypatch, workers, pool_size):
+        spec, records = tiny_sweep
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested size and runs the trials in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_sweep(spec, workers=workers)
+        assert sizes == [pool_size]
+        assert [r.to_json() for r in pooled] == [r.to_json() for r in records]
 
     def test_group_by_cell_shape(self, tiny_sweep):
         spec, records = tiny_sweep

@@ -1,8 +1,8 @@
 """Tests for the interaction/physical network layers."""
 
 import math
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +12,7 @@ from hexswarm.errors import ConfigError
 from hexswarm.network import (
     complete_graph,
     eligible_edges,
-    eligible_matrix,
+    eligible_partners,
     physical_edges,
     ring_lattice,
 )
@@ -169,20 +169,41 @@ point = st.one_of(
 )
 
 
+def partner_pairs(ids, pts, radius, net):
+    """eligible_partners' result as an edge set, after checking that every
+    list is nonempty, strictly ascending and mirrored in its partners' lists."""
+    agents = [SimpleNamespace(x=x, y=y) for x, y in pts]
+    partners = eligible_partners(ids, agents, radius, net)
+    pairs = set()
+    for i, js in partners.items():
+        assert js and js == sorted(set(js))
+        pairs.update((min(i, j), max(i, j)) for j in js)
+        assert all(i in partners[j] for j in js)
+    return pairs
+
+
 class TestInteractionMatrix:
+    """``upper``, the higher-id neighbour tuples the fusion phase walks."""
+
     @pytest.mark.parametrize("net", [ring_lattice(10, 4), complete_graph(5), ring_lattice(4, 2)])
     def test_matches_edges(self, net):
-        i, j = np.nonzero(np.triu(net.matrix))
-        assert set(zip(i.tolist(), j.tolist())) == net.edges
-        assert (net.matrix == net.matrix.T).all()
-        assert not net.matrix.diagonal().any()
+        assert len(net.upper) == net.m
+        for i, js in enumerate(net.upper):
+            assert list(js) == sorted(set(js)) and all(j > i for j in js)
+        assert sum(map(len, net.upper)) == len(net.edges)
+        assert {(i, j) for i, js in enumerate(net.upper) for j in js} == net.edges
 
     def test_read_only(self):
-        with pytest.raises(ValueError):
-            complete_graph(3).matrix[0, 1] = False
+        net = complete_graph(3)
+        with pytest.raises(TypeError):
+            net.upper[0] = ()
+        with pytest.raises(TypeError):
+            net.upper[0][0] = 2
 
 
 class TestEligibleMatrix:
+    """The eligible pairs among broadcasters, from ``eligible_partners``."""
+
     @given(data=st.data())
     def test_matches_edge_set_reference(self, data):
         m = data.draw(st.integers(2, 16))
@@ -197,16 +218,19 @@ class TestEligibleMatrix:
         ids = sorted(data.draw(st.sets(st.integers(0, m - 1))))
 
         reference = eligible_edges(physical_edges(pts, radius), net, set(ids))
-        idx = np.array(ids, dtype=np.intp)
-        elig = eligible_matrix(np.array(pts)[idx], radius, net.matrix[idx][:, idx])
-        assert (elig == elig.T).all()
-        rows, cols = np.nonzero(elig)
-        assert {(ids[p], ids[q]) for p, q in zip(rows, cols) if p < q} == reference
+        assert partner_pairs(ids, pts, radius, net) == reference
 
     def test_boundary_is_closed(self):
-        pts = np.array([(0.0, 0.0), (20.0, 0.0), (20.000001, 0.0)])
-        elig = eligible_matrix(pts, 20.0, complete_graph(3).matrix)
-        assert elig[0, 1] and not elig[0, 2]
+        pts = [(0.0, 0.0), (20.0, 0.0), (20.000001, 0.0)]
+        assert partner_pairs([0, 1, 2], pts, 20.0, complete_graph(3)) == {(0, 1), (1, 2)}
+        # Neighbouring cell centers lie one cell spacing apart, some exactly
+        # and some a rounding error beyond it; the reference decides which.
+        net = complete_graph(len(CELL_CENTERS))
+        ids = list(range(len(CELL_CENTERS)))
+        for radius in (CELL_SPACING, 2 * CELL_SPACING, 30.0):
+            reference = eligible_edges(physical_edges(CELL_CENTERS, radius), net, set(ids))
+            assert reference
+            assert partner_pairs(ids, CELL_CENTERS, radius, net) == reference
 
 
 class TestEdgeListExport:
