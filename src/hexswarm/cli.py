@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,15 +179,23 @@ def execute(invocation: CliInvocation) -> int:
         config = _build_run_config(data, invocation.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         every_tick = invocation.subcommand == "trace"
-        lines: list[str] = []
+        # The log is streamed to a temporary file, so memory stays flat however
+        # many ticks are traced, and is renamed onto trace.log only once the
+        # run and its record are written.
+        partial = out_dir / "trace.log.tmp"
+        try:
+            with partial.open("w") as log:
 
-        def log_agents(state, sampled):
-            if every_tick or sampled:
-                lines.extend(a.log_line(state.tick_index) for a in state.agents)
+                def log_agents(state, sampled):
+                    if every_tick or sampled:
+                        t = state.tick_index
+                        log.writelines(f"{a.log_line(t)}\n" for a in state.agents)
 
-        record = run(config, on_tick=log_agents)
-        (out_dir / "run_record.json").write_text(record.to_json() + "\n")
-        (out_dir / "trace.log").write_text("\n".join(lines) + "\n")
+                record = run(config, on_tick=log_agents)
+            (out_dir / "run_record.json").write_text(record.to_json() + "\n")
+            os.replace(partial, out_dir / "trace.log")
+        finally:
+            partial.unlink(missing_ok=True)  # left only by a run that failed
         status = "consensus" if record.converged else "no consensus"
         print(
             f"run finished: {status} at tick {record.terminal_tick}, "

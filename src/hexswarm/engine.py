@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import AgentState, Mode, move_agents, on_arrival, on_fusion, select_target
+from .agent import EXPLORING, SATURATED, AgentState, move_agents, on_arrival, on_fusion, select_target
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
 from .errors import ConfigError
@@ -230,6 +230,8 @@ def initialize(config: SimConfig) -> SimState:
 
 def consensus_reached(beliefs: list[Belief]) -> bool:
     """True when all beliefs are identical and contain no Unknown entries."""
+    if not beliefs:
+        raise ValueError("consensus_reached needs a nonempty population")
     first = beliefs[0]
     if not first.is_certain():
         return False
@@ -251,7 +253,11 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     if not adjacency:
         return
     matched: set[int] = set()
-    for i in state.rng.permutation(broadcasters).tolist():
+    # Permuting indices draws exactly what permuting the ids would, since
+    # the shuffle's draws depend only on the length, and skips the list to
+    # array copy.
+    for k in state.rng.permutation(len(broadcasters)).tolist():
+        i = broadcasters[k]
         if i in matched or i not in adjacency:
             continue
         candidates = [j for j in adjacency[i] if j not in matched]
@@ -280,7 +286,7 @@ def tick(state: SimState) -> SimState:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
 
     if cfg.C_f > 0:
-        broadcasters = [a.id for a in agents if a.mode is not Mode.EXPLORING]
+        broadcasters = [a.id for a in agents if a.mode is not EXPLORING]
         if len(broadcasters) >= 2:
             _run_fusion_phase(state, broadcasters)
 
@@ -322,7 +328,7 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
         # belief as the previous (unconverged) tick had them, so it cannot
         # newly converge: the check is needed only after a tick with one.
         if state.last_arrivals or state.last_fusions:
-            converged = all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
+            converged = all(a.mode is SATURATED for a in state.agents) and consensus_reached(
                 [a.belief for a in state.agents]
             )
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks

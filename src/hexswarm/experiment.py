@@ -72,6 +72,12 @@ class SweepSpec:
         # which is always a valid one, so checking each cell once suffices.
         for cell in self.cells():
             self.run_config(cell, self.base_seed).validate()
+        # Only after the per-cell checks, which reject bools and unhashable
+        # entries. Equal values (20 and 20.0) would sweep one cell twice.
+        for name in ("topology", "C_r", "C_f", "epsilon"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"sweep list {name} repeats a value: {values!r}")
 
     def cells(self) -> list[tuple[str, float, float, float]]:
         """Parameter cells in deterministic (topology, C_r, C_f, epsilon) order."""

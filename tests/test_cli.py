@@ -4,12 +4,14 @@ import dataclasses
 import io
 import json
 import os
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexswarm import cli
 from hexswarm.agent import Mode
 from hexswarm.cli import RUN_KEYS, SWEEP_KEYS, main, parse_and_validate
 from hexswarm.engine import RunRecord, SimConfig, _sample, consensus_reached, initialize, run, tick
@@ -130,7 +132,9 @@ class TestValidate:
     # Sweep-shaped configs: the fixed fields and every list entry must be
     # checked by validate exactly as sweep checks them.
     @pytest.mark.parametrize("subcommand", ["validate", "sweep"])
-    @pytest.mark.parametrize("override", ["m=abc", "C_r=[NaN]", "topology=[5]"])
+    @pytest.mark.parametrize(
+        "override", ["m=abc", "C_r=[NaN]", "topology=[5]", "epsilon=[0.1,0.1]", "C_r=[20,20.0]"]
+    )
     def test_malformed_sweep_value_exits_2_with_one_line(self, subcommand, override, tmp_path, capsys):
         argv = [subcommand, "--config", "configs/smoke.json", "--set", override,
                 "--out", str(tmp_path / "out")]
@@ -243,6 +247,41 @@ class TestRunSubcommand:
         assert trace_lines > run_lines
         record = json.loads((out_trace / "run_record.json").read_text())
         assert trace_lines == 4 * (record["summary"]["terminal_tick"] + 1)
+
+
+class TestTraceLogStreaming:
+    @staticmethod
+    def traced_peak(out, ticks):
+        """Peak traced heap of an asocial ``trace`` run that never converges."""
+        argv = ["trace", "--config", "configs/base.json", "--set", "C_f=0", "--set", "epsilon=0.1",
+                "--set", f"max_ticks={ticks}", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_flat_in_ticks(self, tmp_path, capsys):
+        # Imports and caches filled on first use would count toward the
+        # short run otherwise.
+        self.traced_peak(tmp_path / "warm", 1)
+        short = self.traced_peak(tmp_path / "short", 500)
+        long = self.traced_peak(tmp_path / "long", 2000)
+        assert (tmp_path / "long" / "trace.log").read_text().count("\n") == 20 * 2001
+        assert long - short < 256 * 1024
+
+    @pytest.mark.parametrize("subcommand", ["run", "trace"])
+    def test_failed_run_leaves_no_log(self, subcommand, run_config, tmp_path, monkeypatch):
+        def failing_run(config, on_tick):
+            on_tick(initialize(config), True)
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="run failed"):
+            main([subcommand, "--config", str(run_config), "--out", str(out)])
+        assert list(out.iterdir()) == []
 
 
 def reference_trace_run(config: SimConfig, every_tick: bool) -> tuple[str, str]:

@@ -364,6 +364,10 @@ class TestConsensus:
         beliefs = [Belief.from_string("10")] * 2 + [Belief.from_string("11")]
         assert not consensus_reached(beliefs)
 
+    def test_empty_population_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            consensus_reached([])
+
 
 class TestAverageError:
     def test_perfect_population(self):

@@ -89,6 +89,22 @@ class TestExpand:
         with pytest.raises(ConfigError, match=field):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epsilon", [0.1, 0.1]), ("C_r", [20, 20.0]), ("C_f", [0.0, 0.5, 0]),
+         ("topology", ["complete", "lattice:2", "complete"])],
+    )
+    def test_repeated_value_rejected(self, field, value):
+        spec = SweepSpec(**{**TINY, field: value})
+        with pytest.raises(ConfigError, match=f"sweep list {field} repeats a value"):
+            spec.validate()
+
+    @pytest.mark.parametrize("value", [[True, True], [[20], [20]]])
+    def test_entry_type_checked_before_repeats(self, value):
+        spec = SweepSpec(**{**TINY, "C_r": value})
+        with pytest.raises(ConfigError, match="C_r must be a finite number"):
+            spec.validate()
+
     def test_scalars_normalized_to_lists(self):
         spec = SweepSpec(topology="complete", C_r=20, C_f=0.1, epsilon=0.0,
                          repeats=1, **TINY)
