@@ -29,6 +29,14 @@ leaves no observable trace because nothing in them consumes randomness.
 
 ``run`` checks for convergence only after a tick with an arrival or a
 fusion, the only events that change a mode or a belief.
+
+An asocial run whose agents are all saturated can no longer change: no
+agent has a target, so none arrives, and nobody broadcasts. If it has not
+converged by then it never will, so ``run`` sets ``SimState.idle`` and
+every later tick only advances the tick counter: agents stop wandering
+and the generator is no longer drawn from. Nothing in the ``RunRecord``
+shows this. ``run`` never idles when given an ``on_tick`` callback, since
+a callback may observe positions.
 """
 
 from __future__ import annotations
@@ -168,6 +176,9 @@ class SimState:
     # convergence check when both are empty.
     last_fusions: list[tuple[int, int]] = field(default_factory=list)
     last_arrivals: list[AgentState] = field(default_factory=list)
+    # Set by ``run`` once no tick can change a mode or a belief; ``tick``
+    # then only advances ``tick_index``.
+    idle: bool = False
 
 
 @dataclass
@@ -280,6 +291,10 @@ def tick(state: SimState) -> SimState:
     agents = state.agents
     rng = state.rng
     state.last_fusions = []
+    if state.idle:
+        state.last_arrivals = []
+        state.tick_index += 1
+        return state
 
     state.last_arrivals = move_agents(agents, state.grid, rng)
     for agent in state.last_arrivals:
@@ -314,6 +329,11 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
     when that tick is a trajectory row: tick 0, every ``sample_every``-th
     tick and the terminal tick. It observes the state and must not change
     it; the CLI uses it to write agent trace lines.
+
+    Without ``on_tick``, an asocial run (``C_f == 0``) that has every agent
+    saturated but has not converged goes idle (see the module docstring):
+    its remaining ticks only count up to ``max_ticks``. The record is the
+    same either way; only the generator's use after that point differs.
     """
     state = initialize(config)
     trajectory = [_sample(state)]
@@ -328,9 +348,11 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
         # belief as the previous (unconverged) tick had them, so it cannot
         # newly converge: the check is needed only after a tick with one.
         if state.last_arrivals or state.last_fusions:
-            converged = all(a.mode is SATURATED for a in state.agents) and consensus_reached(
-                [a.belief for a in state.agents]
-            )
+            saturated = all(a.mode is SATURATED for a in state.agents)
+            converged = saturated and consensus_reached([a.belief for a in state.agents])
+            # Asocial and all saturated: no agent arrives or broadcasts
+            # again, so nothing changes before max_ticks.
+            state.idle = saturated and not converged and config.C_f == 0 and on_tick is None
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
             trajectory.append(_sample(state))

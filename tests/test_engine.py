@@ -351,6 +351,75 @@ class TestConvergenceSkip:
         run(config, on_tick)
 
 
+def full_path_run(config):
+    """run() with a no-op on_tick, which keeps it off the idle path; also
+    returns the first tick after which every agent was saturated (or None)."""
+    first_saturated = []
+
+    def on_tick(state, sampled):
+        if not first_saturated and all(a.mode is Mode.SATURATED for a in state.agents):
+            first_saturated.append(state.tick_index)
+
+    record = run(config, on_tick)
+    return record, (first_saturated or [None])[0]
+
+
+def count_move_calls(monkeypatch):
+    calls = []
+    move_agents = engine.move_agents
+
+    def counted(*args):
+        calls.append(None)
+        return move_agents(*args)
+
+    monkeypatch.setattr(engine, "move_agents", counted)
+    return calls
+
+
+def expected_move_calls(config, record, first_saturated):
+    """Ticks that move the agents: all of them, unless an asocial run
+    saturated every agent without converging and idled after that tick."""
+    if config.C_f == 0 and not record.converged and first_saturated is not None:
+        return first_saturated
+    return record.terminal_tick
+
+
+class TestIdleMatchesFullPath:
+    @pytest.mark.parametrize(
+        "overrides,idles",
+        [
+            # eps=0: every saturated agent knows the truth, so the run
+            # converges at the last saturation and never idles.
+            (dict(m=4, hex_disc_radius=1, epsilon=0.0, seed=21), False),
+            # eps>0: saturates at tick 156, idles to max_ticks.
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3), True),
+            # sample_every does not divide max_ticks; saturates at tick 146.
+            (dict(m=5, hex_disc_radius=2, epsilon=0.3, seed=7, max_ticks=1237, sample_every=50), True),
+            # max_ticks ends the run before the saturation tick (156).
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, max_ticks=120), False),
+            # C_f > 0: saturated agents broadcast, so the run never idles.
+            (dict(m=6, hex_disc_radius=2, C_f=0.2, epsilon=0.1, seed=11), False),
+        ],
+    )
+    def test_record_bytes(self, overrides, idles, monkeypatch):
+        config = SimConfig(**{"C_f": 0.0, "max_ticks": 2000, "sample_every": 30, **overrides})
+        expected, first_saturated = full_path_run(config)
+        calls = count_move_calls(monkeypatch)
+        assert run(config).to_json() == expected.to_json()
+        assert len(calls) == expected_move_calls(config, expected, first_saturated)
+        assert (len(calls) < expected.terminal_tick) is idles
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=small_configs(), max_ticks=st.integers(1, 800), sample_every=st.integers(1, 150))
+    def test_any_small_config(self, config, max_ticks, sample_every):
+        config = dataclasses.replace(config, max_ticks=max_ticks, sample_every=sample_every)
+        expected, first_saturated = full_path_run(config)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_move_calls(monkeypatch)
+            assert run(config).to_json() == expected.to_json()
+        assert len(calls) == expected_move_calls(config, expected, first_saturated)
+
+
 class TestConsensus:
     def test_unanimous_certain(self):
         beliefs = [Belief.from_string("10")] * 3

@@ -2,14 +2,18 @@
 module attribute name, and its counting hooks read beliefs through their
 int8 ``codes``. A refactor that drops or renames one of those bindings, or
 changes what ``codes`` holds, would break the traced benchmark pass; this
-catches it here."""
+catches it here. The tracer also requires one ``tick`` call per tick of a
+run, which an idle asocial run must keep."""
 
 import importlib.util
+import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hexswarm import engine
 from hexswarm.belief import Belief, GroundTruth, fuse_beliefs
 from hexswarm.environment import NoiseModel, observe
 
@@ -62,3 +66,27 @@ def test_observe_hook_counts_noisy_flips():
         tracer._count_observe(counters, (index, truth), evidence)
     assert 0 < flips < 140
     assert counters["environment.noisy_flips"] == flips
+
+
+def test_idle_asocial_run_keeps_traced_counts(tmp_path):
+    # An asocial run that goes idle still calls tick once per tick, so the
+    # traced run agrees with its record (check_run) and counts the same
+    # ticks, arrivals and flips as the same run kept on the full path.
+    config = engine.SimConfig(m=6, hex_disc_radius=2, C_f=0.0, epsilon=0.1, max_ticks=2000, seed=3)
+    runs = []
+    with tracer.Tracer(tmp_path) as traced:
+        for on_tick in (None, lambda state, sampled: None):
+            before = traced.snapshot()
+            start = time.perf_counter_ns()
+            record = engine.run(config, on_tick)
+            wall = time.perf_counter_ns() - start
+            dstats, dcounters = traced.delta(before)
+            summary = tracer.run_summary(dstats, wall, record.terminal_tick, record.trajectory[-1].fusion_events, True)
+            assert tracer.check_run(summary) == []
+            runs.append((record.to_json(), summary["calls"], dcounters))
+    (idle_json, idle_calls, idle_counters), (full_json, full_calls, full_counters) = runs
+    assert idle_json == full_json
+    assert idle_calls["engine.tick"] == json.loads(idle_json)["summary"]["terminal_tick"] == config.max_ticks
+    for name in ("engine.tick", "agent.on_arrival", "environment.observe", "belief.update_with_evidence"):
+        assert idle_calls[name] == full_calls[name], name
+    assert idle_counters == full_counters
