@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .belief import (
-    UNKNOWN,
     Belief,
     GroundTruth,
     fuse_beliefs,
@@ -33,6 +32,15 @@ from .belief import (
 from .environment import ARRIVAL_RADIUS, HexGrid, NoiseModel, observe
 
 DEFAULT_SPEED = 5.0
+
+# A stepping agent's computed distance to the center it heads for differs
+# from the exact dist - speed by a few ulps of the coordinates and of dist.
+# Positions stay inside the arena, whose coordinates are below two
+# circumradii (20 units by default) per ring, so 1e-6 covers every arena of
+# up to a million rings (3e12 cells), far more than fits in memory. An
+# agent that stepped from farther than speed + ARRIVAL_RADIUS +
+# _ARRIVAL_MARGIN is therefore not within reach.
+_ARRIVAL_MARGIN = 1e-6
 
 
 class Mode(Enum):
@@ -78,10 +86,15 @@ def select_target(belief: Belief, rng: np.random.Generator) -> int | None:
     """Uniform draw over the propositions the belief is uncertain about.
 
     The candidates are the Unknown propositions in ascending index order;
-    one ``rng.integers(count)`` draw picks the k-th of them.
+    one ``rng.integers(count)`` draw picks the k-th of them (0-based), and
+    clearing the k lowest Unknown bits leaves it as the lowest. A lone
+    Unknown is returned without a draw: ``integers(1)`` returns 0 without
+    consuming the generator, so skipping it changes no later draw.
     """
     unknown = ~belief.known & ((1 << belief.n) - 1)
     count = unknown.bit_count()
+    if count == 1:
+        return unknown.bit_length()
     if not count:
         return None
     for _ in range(int(rng.integers(count))):
@@ -133,7 +146,7 @@ def on_fusion(agent: AgentState, partner_belief: Belief, rng: np.random.Generato
         return agent
     agent.mode = EXPLORING
     agent.waypoint = None
-    if agent.target is None or fused.value_at(agent.target) is not UNKNOWN:
+    if agent.target is None or fused.known >> (agent.target - 1) & 1:
         agent.target = select_target(fused, rng)
     return agent
 
@@ -191,6 +204,13 @@ def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generato
     arrived agents in list order; no arrival is handled here, so every
     movement draw of a tick comes before every arrival draw.
 
+    When the agent's target is the destination it moved toward, the
+    arrival test needs no ``hypot``: an agent that snapped onto the center
+    sits at distance 0, and one that stepped from farther than
+    ``speed + ARRIVAL_RADIUS + _ARRIVAL_MARGIN`` is out of reach. Only the
+    band in between, and a target other than the destination (a saturated
+    agent that still carries one), take the exact ``at_target`` test.
+
     Destinations are proposition indices the agents hold, always in
     1..n, so centers are read without ``center_of``'s range check.
     """
@@ -199,6 +219,7 @@ def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generato
     # A local, because the global and attribute lookup of math.hypot is a
     # measurable share of this loop.
     hypot = math.hypot
+    reach = ARRIVAL_RADIUS + _ARRIVAL_MARGIN
     arrived = []
     for agent in agents:
         target = agent.target
@@ -231,7 +252,13 @@ def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generato
         agent.y = y
         if target is None:
             continue
-        if target != dest:
+        if target == dest:
+            if dist <= speed:  # snapped onto the center
+                arrived.append(agent)
+                continue
+            if dist > speed + reach:
+                continue
+        else:
             cx, cy = centers[target - 1]
         if hypot(cx - x, cy - y) <= ARRIVAL_RADIUS:
             arrived.append(agent)

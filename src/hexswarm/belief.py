@@ -252,8 +252,8 @@ def update_with_evidence(belief: Belief, evidence: Belief) -> Belief:
     Evidence must be Unknown everywhere except at exactly one index, so
     the update can only touch that one proposition.
     """
-    if len(belief) != len(evidence):
-        raise ValueError(f"belief length mismatch: {len(belief)} vs {len(evidence)}")
+    if belief.n != evidence.n:
+        raise ValueError(f"belief length mismatch: {belief.n} vs {evidence.n}")
     if not is_evidence(evidence):
         raise ValueError("evidence must be certain about exactly one proposition")
     return fuse_beliefs(belief, evidence)

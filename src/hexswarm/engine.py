@@ -28,7 +28,8 @@ skipped entirely whenever fewer than two agents are broadcasting, which
 leaves no observable trace because nothing in them consumes randomness.
 
 ``run`` checks for convergence only after a tick with an arrival or a
-fusion, the only events that change a mode or a belief.
+fusion, the only events that change a mode or a belief, and a trajectory
+row taken with neither since the previous row repeats that row's values.
 
 An asocial run whose agents are all saturated can no longer change: no
 agent has a target, so none arrives, and nobody broadcasts. If it has not
@@ -263,22 +264,26 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     adjacency = eligible_partners(broadcasters, agents, state.config.C_r, state.network)
     if not adjacency:
         return
+    rng = state.rng
     matched: set[int] = set()
-    # Permuting indices draws exactly what permuting the ids would, since
-    # the shuffle's draws depend only on the length, and skips the list to
-    # array copy.
-    for k in state.rng.permutation(len(broadcasters)).tolist():
-        i = broadcasters[k]
+    # Shuffling the id list in place makes the same draws, and gives the
+    # same order, as indexing it through rng.permutation(len(broadcasters)):
+    # both swap by one random_interval draw per position, last to first.
+    order = broadcasters.copy()
+    rng.shuffle(order)
+    for i in order:
         if i in matched or i not in adjacency:
             continue
         candidates = [j for j in adjacency[i] if j not in matched]
         if not candidates:
             continue
-        j = candidates[int(state.rng.integers(len(candidates)))]
+        # integers(1) returns 0 without consuming the generator, so a lone
+        # candidate is taken without a draw.
+        j = candidates[0] if len(candidates) == 1 else candidates[int(rng.integers(len(candidates)))]
         belief_i = agents[i].belief
         belief_j = agents[j].belief
-        on_fusion(agents[i], belief_j, state.rng)
-        on_fusion(agents[j], belief_i, state.rng)
+        on_fusion(agents[i], belief_j, rng)
+        on_fusion(agents[j], belief_i, rng)
         matched.add(i)
         matched.add(j)
         state.fusion_events += 1
@@ -340,6 +345,8 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
     if on_tick is not None:
         on_tick(state, True)
     converged = False
+    # Whether an arrival or a fusion happened since the last trajectory row.
+    changed = False
     for t in range(1, config.max_ticks + 1):
         tick(state)
         # Modes and beliefs change only in on_arrival and on_fusion. At tick
@@ -348,6 +355,7 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
         # belief as the previous (unconverged) tick had them, so it cannot
         # newly converge: the check is needed only after a tick with one.
         if state.last_arrivals or state.last_fusions:
+            changed = True
             saturated = all(a.mode is SATURATED for a in state.agents)
             converged = saturated and consensus_reached([a.belief for a in state.agents])
             # Asocial and all saturated: no agent arrives or broadcasts
@@ -355,7 +363,11 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
             state.idle = saturated and not converged and config.C_f == 0 and on_tick is None
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
-            trajectory.append(_sample(state))
+            # A row depends only on beliefs and the fusion count, which change
+            # only with an arrival or a fusion, so without one since the last
+            # row the values repeat.
+            trajectory.append(_sample(state) if changed else trajectory[-1]._replace(tick=t))
+            changed = False
         if on_tick is not None:
             on_tick(state, sampled)
         if converged:

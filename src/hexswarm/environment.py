@@ -127,7 +127,7 @@ def observe(index: int, truth: GroundTruth, noise: NoiseModel, rng: np.random.Ge
     which holds the true value with probability 1 - epsilon and the
     flipped value otherwise.
     """
-    n = len(truth)
+    n = truth.n
     if not 1 <= index <= n:
         raise ValueError(f"proposition index {index} out of range 1..{n}")
     bit = 1 << (index - 1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexswarm.agent import (
+    _ARRIVAL_MARGIN,
     AgentState,
     Mode,
     advance_position,
@@ -223,8 +224,9 @@ class TestAdvancePosition:
 def populations(draw):
     """A grid and agents in every mode, placed where the move and arrival
     comparisons are closest: on cell centers, ARRIVAL_RADIUS (or one step
-    plus ARRIVAL_RADIUS) short of their destination, and with speeds equal
-    to the distance to it."""
+    plus ARRIVAL_RADIUS, or that plus or minus twice move_agents' rounding
+    margin) short of their destination, and with speeds equal to the
+    distance to it."""
     grid = build_grid(draw(st.integers(1, 3)))
     n = grid.n
     cells = st.integers(1, n)
@@ -241,7 +243,8 @@ def populations(draw):
             anchor,
             (0.0, 0.0),
             (anchor[0] - ARRIVAL_RADIUS * dx, anchor[1] - ARRIVAL_RADIUS * dy),
-            (anchor[0] - (ARRIVAL_RADIUS + speed) * dx, anchor[1] - (ARRIVAL_RADIUS + speed) * dy),
+            *[(anchor[0] - (ARRIVAL_RADIUS + speed + e) * dx, anchor[1] - (ARRIVAL_RADIUS + speed + e) * dy)
+              for e in (0.0, -2 * _ARRIVAL_MARGIN, 2 * _ARRIVAL_MARGIN)],
         ]) | st.tuples(st.floats(-80, 80), st.floats(-80, 80)))
         if draw(st.booleans()):
             # dist == speed exactly, whenever the destination is not drawn in the pass

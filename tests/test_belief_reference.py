@@ -123,6 +123,11 @@ def test_codes_is_read_only_int8(make):
         codes[0] = 1
 
 
+def flatnonzero_pick(belief, rng):
+    candidates = np.flatnonzero(belief.codes == 1) + 1
+    return int(candidates[int(rng.integers(len(candidates)))]) if len(candidates) else None
+
+
 @given(
     beliefs=st.lists(lengths.flatmap(code_lists), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
@@ -131,10 +136,30 @@ def test_select_target_matches_flatnonzero_draw(beliefs, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for codes in beliefs:
         belief = Belief(codes)
-        candidates = np.flatnonzero(belief.codes == 1) + 1
-        expected = int(candidates[int(ref_rng.integers(len(candidates)))]) if len(candidates) else None
-        assert select_target(belief, rng) == expected
+        assert select_target(belief, rng) == flatnonzero_pick(belief, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        pytest.param([2] * 40 + [1] + [0] * 85, id="one-unknown"),
+        pytest.param([0] * 120 + [1] * 6, id="n126-unknowns-in-last-partial-byte"),
+        pytest.param([2] * 112 + [1] * 14, id="n126-k-from-8-into-last-partial-byte"),
+        # Byte boundaries at k = 8, 16 (after a byte with no Unknown) and 24.
+        pytest.param([1] * 16 + [0] * 8 + [1] * 16 + [2] * 86, id="k-from-8-on-byte-boundaries"),
+    ],
+)
+def test_select_target_edge_cases(codes):
+    belief = Belief(codes)
+    seen = set()
+    for seed in range(400):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = select_target(belief, rng)
+        assert got == flatnonzero_pick(belief, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        seen.add(got)
+    assert seen == {i + 1 for i, code in enumerate(codes) if code == 1}  # every k was drawn
 
 
 @given(

@@ -1,0 +1,67 @@
+"""The summary of tools/bench_pairs.py, which reports paired benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "ticks_per_s": "higher"}
+
+
+def runs(walls, failed=0):
+    return [
+        {"attempted": 18, "failed": failed, "metrics": {"wall_s": {"value": w}, "ticks_per_s": {"value": 100 / w}}}
+        for w in walls
+    ]
+
+
+def test_medians_quartiles_and_wins():
+    parent = runs([4.0, 4.2, 3.9, 4.1, 4.0])
+    change = runs([3.5, 3.6, 4.0, 3.4, 3.5])
+    summary = bench_pairs.summarize(parent, change, BETTER)
+    wall = summary["wall_s"]
+    assert wall["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.1}
+    assert wall["change"] == {"median": 3.5, "q1": 3.5, "q3": 3.6}
+    assert wall["change_frac"] == pytest.approx(-0.125)
+    assert (wall["wins"], wall["pairs"]) == (4, 5)  # the third pair is a loss
+    assert not wall["gain_rule_met"]  # 4/5 is below nine tenths
+    # The higher-is-better metric counts the same pairs as wins.
+    assert summary["ticks_per_s"]["wins"] == 4
+    assert summary["ticks_per_s"]["change_frac"] > 0
+
+
+def test_ties_count_for_neither_side():
+    summary = bench_pairs.summarize(runs([2.0, 2.0]), runs([2.0, 1.0]), BETTER)
+    assert summary["wall_s"]["wins"] == 1
+
+
+def test_gain_rule_needs_a_gap_wider_than_the_parent_iqr():
+    walls = [3.0 + 0.1 * k for k in range(10)]  # IQR 0.45
+    parent = runs(walls)
+    clear = bench_pairs.summarize(parent, runs([w - 0.6 for w in walls]), BETTER)
+    narrow = bench_pairs.summarize(parent, runs([w - 0.3 for w in walls]), BETTER)
+    assert clear["wall_s"]["wins"] == narrow["wall_s"]["wins"] == 10
+    assert clear["wall_s"]["gain_rule_met"]
+    assert not narrow["wall_s"]["gain_rule_met"]
+
+
+def test_gain_rule_fails_when_more_operations_fail():
+    walls = [3.0 + 0.1 * k for k in range(10)]
+    faster = [w - 0.6 for w in walls]
+    failing = bench_pairs.summarize(runs(walls), runs(faster, failed=1), BETTER)
+    assert failing["wall_s"]["wins"] == 10
+    assert not failing["wall_s"]["gain_rule_met"]
+    # Failing no more often than the parent does not block the gain.
+    assert bench_pairs.summarize(runs(walls, failed=1), runs(faster, failed=1), BETTER)["wall_s"]["gain_rule_met"]
+
+
+def test_single_pair_and_mismatched_lengths():
+    summary = bench_pairs.summarize(runs([2.0]), runs([1.0]), BETTER)
+    assert summary["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(runs([2.0]), runs([1.0, 1.0]), BETTER)

@@ -310,6 +310,9 @@ class TestRunMatchesTwoLoopReference:
             (dict(m=8, hex_disc_radius=2, C_r=40.0, C_f=0.1, speed=17.0, seed=9, sample_every=7), True),
             (dict(seed=42), True),
             (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237), False),
+            # Idles to max_ticks with a row on every tick: reference_run samples
+            # each row afresh, while run repeats rows taken without a change.
+            (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237, sample_every=1), False),
         ],
     )
     def test_record_bytes(self, overrides, converges):

@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Paired benchmark of this checkout against a parent commit.
+
+Run from anywhere inside the repository:
+
+    python3 tools/bench_pairs.py --parent REF --workload W [--seed S] --pairs N --out BENCH_<n>.json
+
+The parent's committed files are extracted (``git archive``) into a
+temporary directory, and ``perfbench/bench.py --workload W --seed S
+--seconds 14 --trace 0`` then runs N times in each tree, alternating: the
+parent runs first in odd pairs and the change first in even ones. The
+change is this checkout's working tree. Each run's final JSON line is
+merged into the output file under ``"W --seed S"``, next to the entries of
+other workloads already there, and the median, quartiles and wins of every
+end-to-end metric are printed. The script refuses to merge into a file
+that holds runs against another parent or from another host.
+
+Only the standard library is used, so the script runs under any Python
+that can run the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import signal
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 14
+PROTOCOL = (
+    "alternating parent/change pairs, parent first in odd pairs; "
+    "each list holds the final JSON line of every run, in pair order"
+)
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), interpolated between the sorted values."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def failed_share(runs: list[dict]) -> float:
+    """The share of all attempted operations that failed, over ``runs``."""
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, dict]:
+    """Per end-to-end metric: each side's median and quartiles, the relative
+    change of the medians, the pairs the change won (ties count for
+    neither) and whether the gain rule holds: the change wins at least nine
+    tenths of the pairs, its median beats the parent's by more than the
+    parent's interquartile range, and no larger share of its operations
+    failed than of the parent's.
+
+    ``parent`` and ``change`` are the runs' final JSON lines in pair order;
+    ``better`` maps each metric name to "lower" or "higher".
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError(f"need equal, nonzero numbers of runs, got {len(parent)} and {len(change)}")
+    fails_no_more = failed_share(change) <= failed_share(parent)
+    summary = {}
+    for name, direction in better.items():
+        sign = 1 if direction == "lower" else -1
+        p = [run["metrics"][name]["value"] for run in parent]
+        c = [run["metrics"][name]["value"] for run in change]
+        p_q1, p_med, p_q3 = quartiles(p)
+        c_q1, c_med, c_q3 = quartiles(c)
+        wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        gain = sign * (p_med - c_med)
+        summary[name] = {
+            "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
+            "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+            "change_frac": (c_med - p_med) / p_med if p_med else 0.0,
+            "wins": wins,
+            "pairs": len(p),
+            "gain_rule_met": 10 * wins >= 9 * len(p) and gain > p_q3 - p_q1 and fails_no_more,
+        }
+    return summary
+
+
+def format_summary(summary: dict[str, dict]) -> str:
+    lines = []
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        lines.append(
+            f"{name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
+            f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] ({100 * s['change_frac']:+.1f}%), "
+            f"change better in {s['wins']}/{s['pairs']}, parent IQR {p['q3'] - p['q1']:.3g}, "
+            f"gain rule {'met' if s['gain_rule_met'] else 'not met'}"
+        )
+    return "\n".join(lines)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def extract(ref: str, into: Path) -> None:
+    """Write the committed files of ``ref`` into ``into``."""
+    with tempfile.TemporaryFile() as archive:
+        subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, stdout=archive, check=True)
+        archive.seek(0)
+        with tarfile.open(fileobj=archive) as tar:
+            tar.extractall(into, filter="data")
+
+
+def bench(tree: Path, workload: str, seed: int) -> dict:
+    """One benchmark run in ``tree``; returns its final JSON line."""
+    argv = [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        print(f"warning: a run in {tree} reported correct={result['correct']}, failed={result['failed']}",
+              file=sys.stderr)
+    return result
+
+
+def host() -> str:
+    return (f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}, "
+            f"numpy {metadata.version('numpy')}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git ref of the commit to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to merge the runs into")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    parent_rev = git("rev-parse", "--short", f"{args.parent}^{{commit}}")
+    record = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    if record.get("parent", parent_rev) != parent_rev:
+        raise SystemExit(f"{args.out} holds runs against parent {record['parent']}, not {parent_rev}")
+    if record.get("host", host()) != host():
+        raise SystemExit(f"{args.out} holds runs from host {record['host']!r}, not {host()!r}")
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    # Exit through the with block on SIGTERM too, so the extracted parent is
+    # removed and subprocess.run kills the benchmark it is waiting on.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"parent": Path(tmp), "change": ROOT}
+        extract(parent_rev, trees["parent"])
+        for pair in range(1, args.pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                runs[side].append(bench(trees[side], args.workload, args.seed))
+            print(f"pair {pair}/{args.pairs}: wall_s parent {runs['parent'][-1]['metrics']['wall_s']['value']:.3f}"
+                  f" change {runs['change'][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+
+    record.update({
+        "command": f"python3 perfbench/bench.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "host": host(),
+        "parent": parent_rev,
+        "protocol": PROTOCOL,
+    })
+    record.setdefault("workloads", {})[f"{args.workload} --seed {args.seed}"] = {"pairs": args.pairs, **runs}
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(format_summary(summarize(runs["parent"], runs["change"], better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
