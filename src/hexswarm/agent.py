@@ -55,6 +55,12 @@ EXPLORING = Mode.EXPLORING
 BROADCASTING = Mode.BROADCASTING
 SATURATED = Mode.SATURATED
 
+# _POPCOUNT[b] is the number of set bits in the byte b, a ``bytes.translate``
+# table; _SET_BITS[b] lists the positions (0-7) of those bits in ascending
+# order.
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+_SET_BITS = tuple(bytes(j for j in range(8) if b >> j & 1) for b in range(256))
+
 
 @dataclass(slots=True)
 class AgentState:
@@ -86,20 +92,27 @@ def select_target(belief: Belief, rng: np.random.Generator) -> int | None:
     """Uniform draw over the propositions the belief is uncertain about.
 
     The candidates are the Unknown propositions in ascending index order;
-    one ``rng.integers(count)`` draw picks the k-th of them (0-based), and
-    clearing the k lowest Unknown bits leaves it as the lowest. A lone
+    one ``rng.integers(count)`` draw picks the k-th of them (0-based). The
+    Unknown mask is read as little-endian bytes: whole bytes are skipped by
+    their popcount (``_POPCOUNT``) until k falls inside one, and
+    ``_SET_BITS`` gives the k-th set bit of that byte, so the pick costs one
+    pass over at most ``ceil(n / 8)`` bytes whatever k is. A lone
     Unknown is returned without a draw: ``integers(1)`` returns 0 without
     consuming the generator, so skipping it changes no later draw.
     """
-    unknown = ~belief.known & ((1 << belief.n) - 1)
+    n = belief.n
+    unknown = ~belief.known & ((1 << n) - 1)
     count = unknown.bit_count()
     if count == 1:
         return unknown.bit_length()
     if not count:
         return None
-    for _ in range(int(rng.integers(count))):
-        unknown &= unknown - 1  # clear the lowest set bit
-    return (unknown & -unknown).bit_length()
+    k = int(rng.integers(count))
+    data = unknown.to_bytes((n + 7) >> 3, "little")
+    for i, ones in enumerate(data.translate(_POPCOUNT)):
+        if k < ones:
+            return 8 * i + _SET_BITS[data[i]][k] + 1
+        k -= ones
 
 
 def on_arrival(

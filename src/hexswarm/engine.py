@@ -34,8 +34,10 @@ row taken with neither since the previous row repeats that row's values.
 An asocial run whose agents are all saturated can no longer change: no
 agent has a target, so none arrives, and nobody broadcasts. If it has not
 converged by then it never will, so ``run`` sets ``SimState.idle`` and
-every later tick only advances the tick counter: agents stop wandering
-and the generator is no longer drawn from. Nothing in the ``RunRecord``
+every later tick only counts: ``tick`` advances the tick counter and
+returns, agents stop wandering and the generator is no longer drawn
+from. ``run`` still calls ``tick`` once per tick, so that the number of
+``tick`` calls equals the terminal tick. Nothing in the ``RunRecord``
 shows this. ``run`` never idles when given an ``on_tick`` callback, since
 a callback may observe positions.
 """
@@ -177,8 +179,9 @@ class SimState:
     # convergence check when both are empty.
     last_fusions: list[tuple[int, int]] = field(default_factory=list)
     last_arrivals: list[AgentState] = field(default_factory=list)
-    # Set by ``run`` once no tick can change a mode or a belief; ``tick``
-    # then only advances ``tick_index``.
+    # Set by ``run`` once no tick can change a mode or a belief, when it
+    # also leaves both lists above empty; ``tick`` then only advances
+    # ``tick_index``.
     idle: bool = False
 
 
@@ -291,16 +294,19 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
 
 
 def tick(state: SimState) -> SimState:
-    """Advance the simulation by one time step (see module docstring)."""
+    """Advance the simulation by one time step (see module docstring).
+
+    An idle state (``SimState.idle``) only advances ``tick_index``: its
+    ``last_arrivals`` and ``last_fusions`` were emptied when it went idle
+    and stay empty.
+    """
+    if state.idle:
+        state.tick_index += 1
+        return state
     cfg = state.config
     agents = state.agents
     rng = state.rng
     state.last_fusions = []
-    if state.idle:
-        state.last_arrivals = []
-        state.tick_index += 1
-        return state
-
     state.last_arrivals = move_agents(agents, state.grid, rng)
     for agent in state.last_arrivals:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
@@ -359,8 +365,12 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
             saturated = all(a.mode is SATURATED for a in state.agents)
             converged = saturated and consensus_reached([a.belief for a in state.agents])
             # Asocial and all saturated: no agent arrives or broadcasts
-            # again, so nothing changes before max_ticks.
-            state.idle = saturated and not converged and config.C_f == 0 and on_tick is None
+            # again, so nothing changes before max_ticks. The fusion list is
+            # empty (C_f == 0); emptying the arrival list here leaves the idle
+            # ticks nothing to reset.
+            if saturated and not converged and config.C_f == 0 and on_tick is None:
+                state.idle = True
+                state.last_arrivals = []
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
             # A row depends only on beliefs and the fusion count, which change

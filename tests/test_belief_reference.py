@@ -140,6 +140,25 @@ def test_select_target_matches_flatnonzero_draw(beliefs, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# Lengths on each side of a byte, the reference arena (126 cells) and one
+# whose mask spans more than seven 64-bit words.
+EDGE_LENGTHS = [1, 7, 8, 9, 126, 468]
+
+
+def unknown_patterns(n):
+    """Code lists of length n: every proposition Unknown, Unknowns only in
+    the last (partial) byte, Unknowns in alternate bytes only, and Unknowns
+    on both sides of every fourth byte boundary."""
+    tail = n % 8 or min(n, 8)
+    boundaries = {i for b in range(8, n, 32) for i in (b - 1, b)}
+    return {
+        "all": [1] * n,
+        "last-byte": [2] * (n - tail) + [1] * tail,
+        "alternate-bytes": [1 if i // 8 % 2 == 0 else 0 for i in range(n)],
+        "boundaries": [1 if i in boundaries else 2 for i in range(n)],
+    }
+
+
 @pytest.mark.parametrize(
     "codes",
     [
@@ -148,6 +167,13 @@ def test_select_target_matches_flatnonzero_draw(beliefs, seed):
         pytest.param([2] * 112 + [1] * 14, id="n126-k-from-8-into-last-partial-byte"),
         # Byte boundaries at k = 8, 16 (after a byte with no Unknown) and 24.
         pytest.param([1] * 16 + [0] * 8 + [1] * 16 + [2] * 86, id="k-from-8-on-byte-boundaries"),
+        *(
+            pytest.param(codes, id=f"n{n}-{name}")
+            for n in EDGE_LENGTHS
+            for name, codes in unknown_patterns(n).items()
+            # 400 seeds draw every k only when there are few candidates.
+            if 1 <= codes.count(1) <= 40
+        ),
     ],
 )
 def test_select_target_edge_cases(codes):
@@ -160,6 +186,31 @@ def test_select_target_edge_cases(codes):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         seen.add(got)
     assert seen == {i + 1 for i, code in enumerate(codes) if code == 1}  # every k was drawn
+
+
+class FixedDraw:
+    """Stands in for the generator: every bounded draw returns ``k``."""
+
+    def __init__(self, k):
+        self.k = k
+        self.bounds = []
+
+    def integers(self, bound):
+        self.bounds.append(bound)
+        return self.k
+
+
+@pytest.mark.parametrize("n", EDGE_LENGTHS)
+def test_select_target_picks_every_k(n):
+    for codes in unknown_patterns(n).values():
+        candidates = [i + 1 for i, code in enumerate(codes) if code == 1]
+        belief = Belief(codes)
+        if not candidates:
+            assert select_target(belief, FixedDraw(0)) is None
+        for k, expected in enumerate(candidates):
+            draw = FixedDraw(k)
+            assert select_target(belief, draw) == expected
+            assert draw.bounds == ([] if len(candidates) == 1 else [len(candidates)])
 
 
 @given(

@@ -65,3 +65,23 @@ def test_single_pair_and_mismatched_lengths():
     assert summary["wall_s"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     with pytest.raises(ValueError):
         bench_pairs.summarize(runs([2.0]), runs([1.0, 1.0]), BETTER)
+
+
+def test_unscaled_medians_beside_the_scaled_ones():
+    parent, change = runs([4.0, 4.2, 3.9]), runs([3.5, 3.6, 3.4])
+    for run, raw_setup in zip(parent + change, [0.30, 0.20, 0.25, 0.22, 0.40, 0.21]):
+        run["metrics"]["setup_s"] = {"value": raw_setup / 2}
+        run["unscaled"] = {"repetitions": 5, "wall_s": 2 * run["metrics"]["wall_s"]["value"], "setup_s": raw_setup}
+    better = {**BETTER, "setup_s": "lower"}
+    summary = bench_pairs.summarize(parent, change, better)
+    assert summary["setup_s"]["parent"]["unscaled_median"] == 0.25
+    assert summary["setup_s"]["change"]["unscaled_median"] == 0.22
+    assert summary["setup_s"]["parent"]["median"] == 0.125
+    assert summary["wall_s"]["change"]["unscaled_median"] == 7.0
+    assert "unscaled_median" not in summary["ticks_per_s"]["parent"]  # no unscaled figure
+    text = bench_pairs.format_summary(summary).splitlines()
+    assert text[2].startswith("setup_s: parent 0.125 ")
+    assert text[2].endswith("; unscaled median parent 0.25 -> change 0.22")
+    # A run without an unscaled block (an older BENCH file) leaves the medians out.
+    del change[0]["unscaled"]
+    assert "unscaled_median" not in bench_pairs.summarize(parent, change, better)["setup_s"]["parent"]

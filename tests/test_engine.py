@@ -423,6 +423,24 @@ class TestIdleMatchesFullPath:
         assert len(calls) == expected_move_calls(config, expected, first_saturated)
 
 
+    def test_idle_ticks_report_no_events(self, monkeypatch):
+        # Saturates at tick 156, idles to max_ticks.
+        config = SimConfig(m=6, hex_disc_radius=2, C_f=0.0, epsilon=0.1, seed=3, max_ticks=2000)
+        seen = []
+        real_tick = engine.tick
+
+        def recording_tick(state):
+            was_idle = state.idle
+            real_tick(state)
+            seen.append((was_idle, state.last_arrivals, state.last_fusions))
+
+        monkeypatch.setattr(engine, "tick", recording_tick)
+        assert run(config).terminal_tick == 2000
+        idle_ticks = [(arrivals, fusions) for was_idle, arrivals, fusions in seen if was_idle]
+        assert len(idle_ticks) == 2000 - 156
+        assert all(arrivals == [] and fusions == [] for arrivals, fusions in idle_ticks)
+
+
 class TestConsensus:
     def test_unanimous_certain(self):
         beliefs = [Belief.from_string("10")] * 3

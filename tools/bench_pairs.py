@@ -11,9 +11,11 @@ temporary directory, and ``perfbench/bench.py --workload W --seed S
 parent runs first in odd pairs and the change first in even ones. The
 change is this checkout's working tree. Each run's final JSON line is
 merged into the output file under ``"W --seed S"``, next to the entries of
-other workloads already there, and the median, quartiles and wins of every
-end-to-end metric are printed. The script refuses to merge into a file
-that holds runs against another parent or from another host.
+other workloads already there, together with the ``unscaled`` block of the
+line before it (the raw, uncalibrated wall and setup times). The median,
+quartiles and wins of every end-to-end metric are printed, and for wall_s
+and setup_s also each side's unscaled median. The script refuses to merge
+into a file that holds runs against another parent or from another host.
 
 Only the standard library is used, so the script runs under any Python
 that can run the benchmark.
@@ -38,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 14
 PROTOCOL = (
     "alternating parent/change pairs, parent first in odd pairs; "
-    "each list holds the final JSON line of every run, in pair order"
+    "each list holds the final JSON line of every run, in pair order, "
+    "with the unscaled block of the line before it"
 )
 
 
@@ -56,6 +59,13 @@ def failed_share(runs: list[dict]) -> float:
     return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
+def unscaled_median(runs: list[dict], name: str) -> float | None:
+    """The median of ``name`` in the runs' ``unscaled`` blocks, or None when
+    a run has none."""
+    values = [run.get("unscaled", {}).get(name) for run in runs]
+    return None if None in values else statistics.median(values)
+
+
 def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, dict]:
     """Per end-to-end metric: each side's median and quartiles, the relative
     change of the medians, the pairs the change won (ties count for
@@ -65,7 +75,8 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     failed than of the parent's.
 
     ``parent`` and ``change`` are the runs' final JSON lines in pair order;
-    ``better`` maps each metric name to "lower" or "higher".
+    ``better`` maps each metric name to "lower" or "higher". A metric that
+    every run also reports unscaled gets each side's ``unscaled_median``.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonzero numbers of runs, got {len(parent)} and {len(change)}")
@@ -87,6 +98,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "pairs": len(p),
             "gain_rule_met": 10 * wins >= 9 * len(p) and gain > p_q3 - p_q1 and fails_no_more,
         }
+        raw = unscaled_median(parent, name), unscaled_median(change, name)
+        if None not in raw:
+            summary[name]["parent"]["unscaled_median"], summary[name]["change"]["unscaled_median"] = raw
     return summary
 
 
@@ -99,6 +113,8 @@ def format_summary(summary: dict[str, dict]) -> str:
             f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] ({100 * s['change_frac']:+.1f}%), "
             f"change better in {s['wins']}/{s['pairs']}, parent IQR {p['q3'] - p['q1']:.3g}, "
             f"gain rule {'met' if s['gain_rule_met'] else 'not met'}"
+            + (f"; unscaled median parent {p['unscaled_median']:.4g} -> change {c['unscaled_median']:.4g}"
+               if "unscaled_median" in p else "")
         )
     return "\n".join(lines)
 
@@ -117,7 +133,8 @@ def extract(ref: str, into: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in ``tree``; returns its final JSON line."""
+    """One benchmark run in ``tree``; returns its final JSON line with the
+    ``unscaled`` block of the line before it added."""
     argv = [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -125,6 +142,8 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode not in (0, 1) or not lines:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(lines[-1])
+    if len(lines) >= 2:
+        result["unscaled"] = json.loads(lines[-2]).get("unscaled", {})
     if not result["correct"] or result["failed"]:
         print(f"warning: a run in {tree} reported correct={result['correct']}, failed={result['failed']}",
               file=sys.stderr)
