@@ -45,9 +45,7 @@ a callback may observe positions.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,7 +53,7 @@ import numpy as np
 from .agent import EXPLORING, SATURATED, AgentState, move_agents, on_arrival, on_fusion, select_target
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
-from .errors import ConfigError
+from .errors import ConfigError, check, check_lattice
 from .network import InteractionNetwork, complete_graph, eligible_partners, ring_lattice
 
 # The per-agent movement and edge-set reference functions stay bound here
@@ -83,22 +81,6 @@ def parse_topology(topology: str) -> tuple[str, int | None]:
     raise ConfigError(f"topology must be 'complete' or 'lattice:<k>', got {topology!r}")
 
 
-def require_int(name: str, value: object) -> None:
-    """Raise ConfigError unless ``value`` is an integer (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def require_finite(name: str, value: object) -> None:
-    """Raise ConfigError unless ``value`` is a finite real number (bools excluded)."""
-    try:
-        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:  # an int too large to convert to a float
-        finite = False
-    if not finite:
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of a single run. ``C_r`` is the communication radius in
@@ -117,36 +99,14 @@ class SimConfig:
     sample_every: int = 100
 
     def validate(self) -> None:
-        for name in ("m", "hex_disc_radius", "max_ticks", "seed", "sample_every"):
-            require_int(name, getattr(self, name))
-        for name in ("C_r", "C_f", "epsilon", "speed"):
-            require_finite(name, getattr(self, name))
+        for f in fields(self):
+            if f.name != "topology":
+                check(f.name, getattr(self, f.name))
         if not isinstance(self.topology, str):
             raise ConfigError(f"topology must be a string, got {self.topology!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.m < 2:
-            raise ConfigError(f"m must be >= 2, got {self.m}")
-        if self.hex_disc_radius < 1:
-            raise ConfigError(f"hex_disc_radius must be >= 1, got {self.hex_disc_radius}")
-        if self.C_r <= 0:
-            raise ConfigError(f"C_r must be positive, got {self.C_r}")
-        if not 0.0 <= self.C_f <= 1.0:
-            raise ConfigError(f"C_f must be in [0, 1], got {self.C_f}")
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ConfigError(f"epsilon must be in [0, 0.5], got {self.epsilon}")
-        if self.max_ticks < 1:
-            raise ConfigError(f"max_ticks must be >= 1, got {self.max_ticks}")
-        if self.speed <= 0:
-            raise ConfigError(f"speed must be positive, got {self.speed}")
-        if self.sample_every < 1:
-            raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
         kind, k = parse_topology(self.topology)
         if kind == "lattice":
-            if k % 2 != 0 or not 2 <= k <= self.m - 2:
-                raise ConfigError(
-                    f"topology lattice k must be even and in [2, m-2], got k={k} for m={self.m}"
-                )
+            check_lattice(self.m, k)
 
     def connectivity(self) -> int:
         """Interaction-network degree: k for a lattice, m-1 when complete."""

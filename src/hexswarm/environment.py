@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import Belief, GroundTruth
-from .errors import ConfigError
+from .errors import ConfigError, check
 
 # World-units scale: adjacent cell centers sit sqrt(3)*circumradius apart,
 # so the smallest communication radius of interest (20) spans roughly one
@@ -82,8 +82,7 @@ def build_grid(hex_disc_radius: int, circumradius: float = DEFAULT_CIRCUMRADIUS)
     max(|q|, |r'|, |q+r'|) <= r. The center cell becomes the launch pad;
     the remaining 3r(r+1) cells are numbered 1..n in (r', q) order.
     """
-    if hex_disc_radius < 1:
-        raise ConfigError(f"hex_disc_radius must be >= 1, got {hex_disc_radius}")
+    check("hex_disc_radius", hex_disc_radius)
     if circumradius <= 0:
         raise ConfigError(f"circumradius must be positive, got {circumradius}")
 
@@ -109,8 +108,7 @@ class NoiseModel:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ConfigError(f"epsilon must be in [0, 0.5], got {self.epsilon}")
+        check("epsilon", self.epsilon)
 
 
 def sample_ground_truth(n: int, rng: np.random.Generator) -> GroundTruth:

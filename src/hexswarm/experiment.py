@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import RunRecord, SimConfig, parse_topology, require_int, run
-from .errors import ConfigError
+from .engine import RunRecord, SimConfig, parse_topology, run
+from .errors import ConfigError, check
 
 SWEEP_RESULTS_COLUMNS = [
     "topology", "k", "C_r", "C_f", "epsilon",
@@ -62,12 +62,8 @@ class SweepSpec:
         for name in ("topology", "C_r", "C_f", "epsilon"):
             if not getattr(self, name):
                 raise ConfigError(f"sweep list {name} must not be empty")
-        require_int("repeats", self.repeats)
-        require_int("base_seed", self.base_seed)
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        check("repeats", self.repeats)
+        check("base_seed", self.base_seed)
         # A trial's config differs from its cell's only in the derived seed,
         # which is always a valid one, so checking each cell once suffices.
         for cell in self.cells():
@@ -149,9 +145,10 @@ def _ci95(values: Sequence[float]) -> float:
     return 1.96 * float(np.std(values, ddof=1)) / sqrt(len(values))
 
 
-def _cell_columns(config: dict) -> tuple[str, int]:
-    """(topology tag, connectivity k) as written to the CSV outputs."""
-    return parse_topology(config["topology"])[0], SimConfig(**config).connectivity()
+def _cell_columns(config: dict) -> tuple[str, int, float, float, float]:
+    """(topology tag, connectivity k, C_r, C_f, epsilon) as written to the CSV outputs."""
+    kind = parse_topology(config["topology"])[0]
+    return kind, SimConfig(**config).connectivity(), config["C_r"], config["C_f"], config["epsilon"]
 
 
 @dataclass
@@ -186,16 +183,10 @@ def aggregate(grouped: Sequence[Sequence[RunRecord]]) -> list[CellSummary]:
     for records in grouped:
         if not records:
             raise ValueError("cannot aggregate an empty cell group")
-        config = records[0].config
-        topology, k = _cell_columns(config)
         errors = [r.steady_state_error for r in records]
         summaries.append(
             CellSummary(
-                topology=topology,
-                k=k,
-                C_r=config["C_r"],
-                C_f=config["C_f"],
-                epsilon=config["epsilon"],
+                *_cell_columns(records[0].config),
                 mean_error=float(np.mean(errors)),
                 ci95=_ci95(errors),
                 mean_terminal_tick=float(np.mean([r.terminal_tick for r in records])),
@@ -219,8 +210,7 @@ def mean_trajectories(
     for records in grouped:
         if not records:
             raise ValueError("cannot aggregate an empty cell group")
-        config = records[0].config
-        topology, k = _cell_columns(config)
+        cell = _cell_columns(records[0].config)
         horizon = max(r.terminal_tick for r in records)
         grid_ticks = list(range(0, horizon + 1, sample_every))
         if grid_ticks[-1] != horizon:
@@ -235,49 +225,37 @@ def mean_trajectories(
         stacked = np.stack(per_run)
         for col, t in enumerate(grid_ticks):
             at_t = stacked[:, col]
-            rows.append(
-                (
-                    topology, k, config["C_r"], config["C_f"], config["epsilon"],
-                    t, float(np.mean(at_t)), _ci95(list(at_t)),
-                )
-            )
+            rows.append((*cell, t, float(np.mean(at_t)), _ci95(list(at_t))))
     return rows
+
+
+def _write_csv(path, columns: list[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_sweep_results(path, spec: SweepSpec, records: Sequence[RunRecord]) -> None:
     """Per-trial rows in expand() order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_RESULTS_COLUMNS)
-        for position, record in enumerate(records):
-            config = record.config
-            topology, k = _cell_columns(config)
-            writer.writerow(
-                [
-                    topology, k, config["C_r"], config["C_f"], config["epsilon"],
-                    position % spec.repeats, config["seed"],
-                    record.steady_state_error, record.terminal_tick,
-                    "true" if record.converged else "false",
-                ]
-            )
+    _write_csv(path, SWEEP_RESULTS_COLUMNS, (
+        [
+            *_cell_columns(r.config), position % spec.repeats, r.config["seed"],
+            r.steady_state_error, r.terminal_tick, "true" if r.converged else "false",
+        ]
+        for position, r in enumerate(records)
+    ))
 
 
 def write_cell_summary(path, summaries: Iterable[CellSummary]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELL_SUMMARY_COLUMNS)
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.topology, s.k, s.C_r, s.C_f, s.epsilon,
-                    s.mean_error, s.ci95, s.mean_terminal_tick, s.consensus_fraction,
-                ]
-            )
+    _write_csv(path, CELL_SUMMARY_COLUMNS, (
+        [
+            s.topology, s.k, s.C_r, s.C_f, s.epsilon,
+            s.mean_error, s.ci95, s.mean_terminal_tick, s.consensus_fraction,
+        ]
+        for s in summaries
+    ))
 
 
 def write_trajectories(path, rows: Iterable[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in rows:
-            writer.writerow(list(row))
+    _write_csv(path, TRAJECTORY_COLUMNS, rows)

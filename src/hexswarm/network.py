@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check, check_lattice
 
 Edge = tuple[int, int]
 
@@ -65,12 +65,8 @@ def ring_lattice(m: int, k: int) -> InteractionNetwork:
 
     k must be even so each agent gets k/2 neighbours on either side.
     """
-    if m < 3:
-        raise ConfigError(f"ring lattice needs m >= 3 agents, got {m}")
-    if k % 2 != 0:
-        raise ConfigError(f"ring lattice connectivity k must be even, got {k}")
-    if not 2 <= k <= m - 2:
-        raise ConfigError(f"ring lattice connectivity k must be in [2, m-2], got k={k} for m={m}")
+    check("m", m)
+    check_lattice(m, k)
     edges = set()
     for i in range(m):
         for d in range(1, k // 2 + 1):
@@ -81,8 +77,7 @@ def ring_lattice(m: int, k: int) -> InteractionNetwork:
 
 def complete_graph(m: int) -> InteractionNetwork:
     """Totally-connected network, equivalent to a lattice with k = m - 1."""
-    if m < 2:
-        raise ConfigError(f"complete graph needs m >= 2 agents, got {m}")
+    check("m", m)
     edges = {(i, j) for i in range(m) for j in range(i + 1, m)}
     return InteractionNetwork(m, edges, "complete", m - 1)
 

@@ -88,6 +88,18 @@ class TestValidate:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    # validate builds no grid or network, so these sizes cost nothing here.
+    @pytest.mark.parametrize("config", ["configs/base.json", "configs/smoke.json"])
+    @pytest.mark.parametrize("key,bound", [("m", 1000), ("hex_disc_radius", 300)])
+    def test_size_bound_exits_2_past_it(self, config, key, bound, capsys):
+        assert main(["validate", "--config", config, "--set", f"{key}={bound}"]) == 0
+        capsys.readouterr()
+        for value in (bound + 1, 100_000_000):
+            assert main(["validate", "--config", config, "--set", f"{key}={value}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {key} out of range: need {key} <= {bound}, got {value}\n"
+
     def test_unknown_key_named_in_error(self, run_config, capsys):
         code = main(["validate", "--config", str(run_config), "--set", "warp_factor=9"])
         assert code == 2

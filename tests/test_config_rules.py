@@ -1,0 +1,65 @@
+"""Every config rule is written once, in ``errors.RULES``, and checked
+through ``errors.check`` and ``errors.check_lattice``. Only the functions
+listed here raise ``ConfigError`` themselves, so a range check written
+inline anywhere else fails this test."""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import hexswarm
+from hexswarm.engine import SimConfig
+from hexswarm.errors import RULES
+
+EXPECTED = {
+    # The rules.
+    "errors.check",
+    "errors.check_lattice",
+    # No config field's range: the topology tag's syntax and type, empty or
+    # repeated sweep lists, the cell size and the proposition count.
+    "engine.parse_topology",
+    "engine.SimConfig.validate",
+    "experiment.SweepSpec.validate",
+    "environment.build_grid",
+    "environment.sample_ground_truth",
+    # The CLI's override syntax, --workers, config I/O, unknown keys and a
+    # sweep config given to run.
+    "cli._parse_override",
+    "cli.parse_and_validate",
+    "cli._load_config_data",
+    "cli._check_keys",
+    "cli._build_run_config",
+}
+
+
+def config_error_raisers(name: str) -> set[str]:
+    """``module.[Class.]function`` of every function in ``hexswarm.<name>``
+    whose own body raises ConfigError."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"hexswarm.{name}")))
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(tree, name)
+    return found
+
+
+def test_only_the_listed_functions_raise_config_error():
+    modules = [info.name for info in pkgutil.iter_modules(hexswarm.__path__)]
+    assert set().union(*map(config_error_raisers, modules)) == EXPECTED
+
+
+def test_rules_cover_exactly_the_numeric_fields():
+    run_fields = {f.name for f in dataclasses.fields(SimConfig)} - {"topology"}
+    assert RULES.keys() == run_fields | {"repeats", "base_seed"}

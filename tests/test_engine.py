@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -56,12 +57,22 @@ class TestConfig:
             ("m", True),
             ("C_f", float("inf")),
             ("C_r", 10**400),
+            ("m", 1001),
+            ("hex_disc_radius", 301),
+            ("m", 100_000_000),
+            ("hex_disc_radius", 100_000_000),
         ],
     )
     def test_validation_names_the_field(self, field, value):
         config = dataclasses.replace(SimConfig(), **{field: value})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             config.validate()
+
+    def test_upper_bounds_are_inclusive(self):
+        # Checked without building: initialize at these sizes allocates
+        # hundreds of MB.
+        SimConfig(m=1000, hex_disc_radius=300).validate()
+        SimConfig(m=1000, topology="lattice:998").validate()
 
     def test_parse_topology(self):
         assert parse_topology("complete") == ("complete", None)

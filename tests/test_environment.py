@@ -62,6 +62,12 @@ class TestBuildGrid:
         with pytest.raises(ConfigError, match="hex_disc_radius"):
             build_grid(0)
 
+    @pytest.mark.parametrize("radius", [301, 2.0])
+    def test_rejects_radius_past_the_bound_or_not_integer(self, radius):
+        # 301 is rejected before any cell is built.
+        with pytest.raises(ConfigError, match="hex_disc_radius"):
+            build_grid(radius)
+
     def test_center_of_range(self):
         grid = build_grid(1)
         with pytest.raises(ValueError, match="out of range"):

@@ -1,6 +1,7 @@
 """Tests for the interaction/physical network layers."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -54,7 +55,7 @@ class TestRingLattice:
             ring_lattice(m, k)
 
     def test_rejects_tiny_population(self):
-        with pytest.raises(ConfigError, match="m >= 3"):
+        with pytest.raises(ConfigError, match=re.escape("in [2, m-2]")):
             ring_lattice(2, 2)
 
     def test_no_self_loops_and_symmetric(self):
@@ -88,6 +89,12 @@ class TestCompleteGraph:
     def test_rejects_singleton(self):
         with pytest.raises(ConfigError, match="m >= 2"):
             complete_graph(1)
+
+    def test_rejects_population_past_the_bound(self):
+        # The check comes before any edge is built.
+        for build in (complete_graph, lambda m: ring_lattice(m, 2)):
+            with pytest.raises(ConfigError, match="m <= 1000"):
+                build(1001)
 
 
 class TestPhysicalEdges:
