@@ -21,6 +21,11 @@ Each tick applies a fixed phase order:
 A run is a pure function of its config (seed included): one PCG64
 generator drives every random draw, consumed in the phase/agent order
 above, so identical configs reproduce identical records byte for byte.
+``initialize`` builds it as a ``LemireGenerator``: each single-bound
+``integers(n)`` runs numpy's own 32-bit Lemire draw over the bit
+generator's C ``next_uint32`` without ``Generator.integers``' argument
+handling, so the values and the generator state are those of
+``np.random.default_rng(seed)``, and ``random``/``shuffle`` stay numpy's.
 
 Communication frequency 0 is the asocial special case: nobody, saturated
 agents included, ever broadcasts, so no fusion can occur. Phases 3..5 are
@@ -53,7 +58,7 @@ import numpy as np
 from .agent import EXPLORING, SATURATED, AgentState, move_agents, on_arrival, on_fusion, select_target
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
-from .errors import ConfigError, check, check_lattice
+from .errors import ConfigError, check, check_lattice, shown
 from .network import InteractionNetwork, complete_graph, eligible_partners, ring_lattice
 
 # The per-agent movement and edge-set reference functions stay bound here
@@ -62,6 +67,41 @@ from .network import InteractionNetwork, complete_graph, eligible_partners, ring
 # ``at_target``, ``physical_edges`` and ``eligible_edges`` by name.
 from .agent import advance_position, at_target  # noqa: F401
 from .network import eligible_edges, physical_edges  # noqa: F401
+
+
+class LemireGenerator(np.random.Generator):
+    """A ``Generator`` whose single-bound ``integers(n)`` skips numpy's
+    argument handling, which costs several times the draw itself.
+
+    For one positional ``int`` n in [2, 2**32 - 1] it makes numpy's own
+    draw: 32-bit Lemire rejection over the bit generator's C
+    ``next_uint32``, as numpy does for an int64 bound below 2**32. Going
+    through that C function keeps the half-word ``has_uint32`` buffer in
+    the bit generator's state, so the values, the state after each call and
+    every later ``random`` or ``shuffle`` are those of a plain
+    ``Generator``. It returns a Python int where numpy returns an int64.
+    Every other call is numpy's. The fast path does not take the bit
+    generator's lock, so two threads must not draw from one instance at
+    once; a run draws from its own generator in one thread.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        super().__init__(bit_generator)
+        c = self.bit_generator.ctypes
+        self._next_uint32 = c.next_uint32
+        self._state = c.state
+
+    def integers(self, *args, **kwargs):
+        if len(args) == 1 and not kwargs:
+            n = args[0]
+            if type(n) is int and 2 <= n <= 0xFFFFFFFF:
+                m = self._next_uint32(self._state) * n
+                if m & 0xFFFFFFFF < n:
+                    threshold = (0x100000000 - n) % n
+                    while m & 0xFFFFFFFF < threshold:
+                        m = self._next_uint32(self._state) * n
+                return m >> 32
+        return super().integers(*args, **kwargs)
 
 
 def parse_topology(topology: str) -> tuple[str, int | None]:
@@ -103,7 +143,7 @@ class SimConfig:
             if f.name != "topology":
                 check(f.name, getattr(self, f.name))
         if not isinstance(self.topology, str):
-            raise ConfigError(f"topology must be a string, got {self.topology!r}")
+            raise ConfigError(f"topology must be a string, got {shown(self.topology)}")
         kind, k = parse_topology(self.topology)
         if kind == "lattice":
             check_lattice(self.m, k)
@@ -185,7 +225,7 @@ def initialize(config: SimConfig) -> SimState:
     """
     config.validate()
     grid = build_grid(config.hex_disc_radius)
-    rng = np.random.default_rng(config.seed)
+    rng = LemireGenerator(np.random.PCG64(config.seed))
     truth = sample_ground_truth(grid.n, rng)
     kind, k = parse_topology(config.topology)
     if kind == "complete":

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -32,11 +32,21 @@ RULES = {
     "epsilon": Rule(False, 0.0, 0.5),
     "max_ticks": Rule(True, 1),
     "speed": Rule(False, positive=True),
-    "seed": Rule(True, 0),
+    # 64 bits, the range of derive_seed. A run echoes its seed into its
+    # record, which cannot print an int of more than 4,300 digits.
+    "seed": Rule(True, 0, 2**64 - 1),
     "sample_every": Rule(True, 1),
     "repeats": Rule(True, 1),
-    "base_seed": Rule(True, 0),
+    "base_seed": Rule(True, 0, 2**64 - 1),
 }
+
+
+def shown(value: object, show: Callable[[object], str] = repr) -> str:
+    """``show(value)``, or the size of an int past 64 bits: converting an
+    int of more than 4,300 digits to a string raises ValueError."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return show(value)
 
 
 def check(name: str, value: object) -> None:
@@ -51,14 +61,14 @@ def check(name: str, value: object) -> None:
         valid = False
     if not valid or isinstance(value, bool):
         kind = "an integer" if rule.integer else "a finite number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be {kind}, got {shown(value)}")
     if rule.positive:
         if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
+            raise ConfigError(f"{name} must be positive, got {shown(value, str)}")
     elif value < rule.low:
-        raise ConfigError(f"{name} out of range: need {name} >= {rule.low}, got {value}")
+        raise ConfigError(f"{name} out of range: need {name} >= {rule.low}, got {shown(value, str)}")
     elif rule.high is not None and value > rule.high:
-        raise ConfigError(f"{name} out of range: need {name} <= {rule.high}, got {value}")
+        raise ConfigError(f"{name} out of range: need {name} <= {rule.high}, got {shown(value, str)}")
 
 
 def check_lattice(m: int, k: int) -> None:

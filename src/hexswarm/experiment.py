@@ -205,6 +205,11 @@ def mean_trajectories(
 
     Trajectories are aligned on the shared sampling grid; a run that
     converged early contributes its final error to all later ticks.
+
+    Each cell is reduced in one pass over its grid ticks, with ``aggregate``'s
+    CI rule (0.0 for one trial or equal values). Every grid tick's trials
+    are one contiguous row, so numpy sums each in the same order as
+    ``np.mean`` and ``np.std`` of that tick alone.
     """
     rows = []
     for records in grouped:
@@ -222,10 +227,16 @@ def mean_trajectories(
             # last sample at or before each grid tick; trajectories start at 0
             idx = np.searchsorted(sampled_at, grid_ticks, side="right") - 1
             per_run.append(values[idx])
-        stacked = np.stack(per_run)
-        for col, t in enumerate(grid_ticks):
-            at_t = stacked[:, col]
-            rows.append((*cell, t, float(np.mean(at_t)), _ci95(list(at_t))))
+        cols = np.ascontiguousarray(np.stack(per_run).T)
+        n = len(records)
+        if n == 1:
+            ci95 = np.zeros(len(grid_ticks))
+        else:
+            constant = (cols == cols[:, :1]).all(axis=1)
+            ci95 = np.where(constant, 0.0, 1.96 * cols.std(axis=1, ddof=1) / np.sqrt(n))
+        rows.extend(
+            (*cell, t, mean, ci) for t, mean, ci in zip(grid_ticks, cols.mean(axis=1).tolist(), ci95.tolist())
+        )
     return rows
 
 

@@ -61,6 +61,15 @@ class TestConfig:
             ("hex_disc_radius", 301),
             ("m", 100_000_000),
             ("hex_disc_radius", 100_000_000),
+            # Past Python's 4,300-digit string limit: the message must not
+            # print the value.
+            pytest.param("m", 10**5000, id="m-10**5000"),
+            pytest.param("seed", -10**5000, id="seed--10**5000"),
+            pytest.param("seed", 10**5000, id="seed-10**5000"),
+            pytest.param("C_r", 10**5000, id="C_r-10**5000"),
+            pytest.param("epsilon", 10**5000, id="epsilon-10**5000"),
+            pytest.param("topology", 10**5000, id="topology-10**5000"),
+            ("seed", 2**64),
         ],
     )
     def test_validation_names_the_field(self, field, value):
@@ -73,6 +82,7 @@ class TestConfig:
         # hundreds of MB.
         SimConfig(m=1000, hex_disc_radius=300).validate()
         SimConfig(m=1000, topology="lattice:998").validate()
+        SimConfig(seed=2**64 - 1).validate()
 
     def test_parse_topology(self):
         assert parse_topology("complete") == ("complete", None)

@@ -3,6 +3,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from hexswarm import experiment
@@ -72,7 +73,9 @@ class TestExpand:
             expand(spec)
 
     @pytest.mark.parametrize(
-        "field,value", [("repeats", 2.5), ("repeats", True), ("base_seed", 1.0), ("base_seed", -1)]
+        "field,value",
+        [("repeats", 2.5), ("repeats", True), ("base_seed", 1.0), ("base_seed", -1), ("base_seed", 2**64),
+         pytest.param("base_seed", -10**5000, id="base_seed--10**5000")],
     )
     def test_malformed_repeats_and_base_seed_rejected(self, field, value):
         spec = SweepSpec(**{field: value}, **TINY)
@@ -178,6 +181,57 @@ class TestMeanTrajectories:
         rows = mean_trajectories([[record]], sample_every=50)
         ticks = [r[5] for r in rows]
         assert ticks == [0, 50, 100, 130]
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_trial_ci_is_zero(self):
+        rows = mean_trajectories([[fake_record(errors=(0.5, 0.3, 0.2), terminal=100)]], sample_every=50)
+        assert [r[6:] for r in rows] == [(0.5, 0.0), (0.3, 0.0), (0.2, 0.0)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_tick_reduction(self, seed):
+        # Trial counts span numpy's plain (< 8) and pairwise (>= 8) summation.
+        # Each cell starts at one shared value, and its trials often repeat
+        # one other value: constant ticks whose mean is inexact (0.1, 1/3)
+        # have a nonzero computed std, so they test the CI's equal-values rule.
+        rng = np.random.default_rng(seed)
+        grouped = []
+        for repeats in [*range(1, 21), 31, 64, 127, 128, 200]:
+            start, repeated = rng.choice([0.5, 0.1, 1 / 3, 0.7], size=2)
+            repeat_share = rng.choice([0.0, 0.5, 0.95, 1.0])
+            records = []
+            for _ in range(repeats):
+                terminal = int(rng.integers(0, 400))
+                ticks = sorted({*range(0, terminal + 1, 50), terminal})
+                errors = np.where(rng.random(len(ticks)) < repeat_share, repeated, rng.random(len(ticks)))
+                errors[0] = start
+                trajectory = [TrajectoryPoint(t, e, 0.0, 0) for t, e in zip(ticks, errors.tolist())]
+                records.append(RunRecord(config=fake_record().config, trajectory=trajectory,
+                                         terminal_tick=terminal, converged=False,
+                                         steady_state_error=errors[-1]))
+            grouped.append(records)
+        rows = mean_trajectories(grouped, sample_every=50)
+        assert list(map(repr, rows)) == list(map(repr, per_tick_rows(grouped, 50)))
+
+
+def per_tick_rows(grouped, sample_every):
+    """mean_trajectories with one np.mean and one _ci95 per grid tick."""
+    rows = []
+    for records in grouped:
+        cell = experiment._cell_columns(records[0].config)
+        horizon = max(r.terminal_tick for r in records)
+        grid_ticks = list(range(0, horizon + 1, sample_every))
+        if grid_ticks[-1] != horizon:
+            grid_ticks.append(horizon)
+        per_run = []
+        for r in records:
+            sampled_at = np.array([p.tick for p in r.trajectory])
+            values = np.array([p.average_error for p in r.trajectory])
+            per_run.append(values[np.searchsorted(sampled_at, grid_ticks, side="right") - 1])
+        stacked = np.stack(per_run)
+        for col, t in enumerate(grid_ticks):
+            at_t = stacked[:, col]
+            rows.append((*cell, t, float(np.mean(at_t)), experiment._ci95(list(at_t))))
+    return rows
 
 
 @pytest.fixture(scope="module")
