@@ -10,9 +10,9 @@ broadcasting continuously to pull the rest of the population toward
 consensus.
 
 The tick moves the population with ``move_agents``, one pass that advances
-every agent and detects arrivals. ``advance_position`` and ``at_target``
-are its per-agent reference: the pass does exactly their arithmetic and
-draws, and the tests compare the two.
+every agent and detects arrivals exactly as ``advance_position`` and
+``at_target`` do per agent; the reference model in
+``tests/reference_model.py`` moves with those, and the tests compare the two.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .engine import SimConfig, run
 # Bound here although nothing in this module calls them: the benchmark's
 # tracer (perfbench/tracer.py) wraps ``hexswarm.cli.initialize`` and ``tick``.
 from .engine import initialize, tick  # noqa: F401
-from .errors import ConfigError
+from .errors import ConfigError, check
 from .experiment import (
     SweepSpec,
     aggregate,
@@ -96,8 +96,7 @@ def parse_and_validate(argv: list[str]) -> CliInvocation:
         p.add_argument("--workers", type=int, default=1, metavar="N", help="parallel run workers")
         p.add_argument("--seed", type=int, default=None, metavar="N", help="override the seed")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    check("--workers", args.workers)
     return CliInvocation(
         subcommand=args.subcommand,
         config_path=args.config,

@@ -21,11 +21,8 @@ Each tick applies a fixed phase order:
 A run is a pure function of its config (seed included): one PCG64
 generator drives every random draw, consumed in the phase/agent order
 above, so identical configs reproduce identical records byte for byte.
-``initialize`` builds it as a ``LemireGenerator``: each single-bound
-``integers(n)`` runs numpy's own 32-bit Lemire draw over the bit
-generator's C ``next_uint32`` without ``Generator.integers``' argument
-handling, so the values and the generator state are those of
-``np.random.default_rng(seed)``, and ``random``/``shuffle`` stay numpy's.
+``initialize`` builds it as a ``LemireGenerator``, whose values and state
+are those of ``np.random.default_rng(seed)``.
 
 Communication frequency 0 is the asocial special case: nobody, saturated
 agents included, ever broadcasts, so no fusion can occur. Phases 3..5 are

@@ -30,14 +30,17 @@ RULES = {
     "C_r": Rule(False, positive=True),
     "C_f": Rule(False, 0.0, 1.0),
     "epsilon": Rule(False, 0.0, 0.5),
-    "max_ticks": Rule(True, 1),
     "speed": Rule(False, positive=True),
-    # 64 bits, the range of derive_seed. A run echoes its seed into its
-    # record, which cannot print an int of more than 4,300 digits.
+    # 64 bits, the range of derive_seed. A record echoes its config, and
+    # cannot print an int of more than 4,300 digits.
     "seed": Rule(True, 0, 2**64 - 1),
-    "sample_every": Rule(True, 1),
-    "repeats": Rule(True, 1),
+    "max_ticks": Rule(True, 1, 2**64 - 1),
+    "sample_every": Rule(True, 1, 2**64 - 1),
+    # expand and the records of the smallest runs hold about 1.1 KB per trial: 110 MB at 100000.
+    "repeats": Rule(True, 1, 100_000),
     "base_seed": Rule(True, 0, 2**64 - 1),
+    # A sweep worker held about 28 MB of RSS at 2 workers: 1.8 GB at 64.
+    "workers": Rule(True, 1, 64),
 }
 
 
@@ -50,8 +53,9 @@ def shown(value: object, show: Callable[[object], str] = repr) -> str:
 
 
 def check(name: str, value: object) -> None:
-    """Raise ConfigError, naming ``name``, unless ``value`` meets ``RULES[name]``."""
-    rule = RULES[name]
+    """Raise ConfigError, naming ``name``, unless ``value`` meets ``RULES[name]``.
+    A flag such as ``--workers`` is checked by the rule of its bare name."""
+    rule = RULES[name.lstrip("-")]
     try:
         if rule.integer:
             valid = isinstance(value, numbers.Integral)

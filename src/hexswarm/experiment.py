@@ -13,7 +13,6 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from math import sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,6 +118,7 @@ def expand(spec: SweepSpec) -> list[tuple[SimConfig, int]]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     """Execute every trial of the sweep; output order matches expand()."""
+    check("workers", workers)
     configs = [config for config, _ in expand(spec)]
     # The pool may start all of its workers at the first submit, so ask for
     # no more than there are trials.
@@ -139,10 +139,18 @@ def group_by_cell(spec: SweepSpec, records: Sequence[RunRecord]) -> list[list[Ru
     return [list(records[i : i + r]) for i in range(0, len(records), r)]
 
 
-def _ci95(values: Sequence[float]) -> float:
-    if len(values) < 2 or len(set(values)) == 1:
-        return 0.0
-    return 1.96 * float(np.std(values, ddof=1)) / sqrt(len(values))
+def _mean_ci95(cols: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and 95% CI half-width of each row of a (rows, trials) array. The
+    half-width is 0.0 for one trial or a row of equal values. Each row is
+    contiguous, so numpy sums it in the same order as ``np.mean`` and
+    ``np.std`` of that row alone."""
+    n = cols.shape[1]
+    if n == 1:
+        ci95 = np.zeros(len(cols))
+    else:
+        constant = (cols == cols[:, :1]).all(axis=1)
+        ci95 = np.where(constant, 0.0, 1.96 * cols.std(axis=1, ddof=1) / np.sqrt(n))
+    return cols.mean(axis=1).tolist(), ci95.tolist()
 
 
 def _cell_columns(config: dict) -> tuple[str, int, float, float, float]:
@@ -184,11 +192,12 @@ def aggregate(grouped: Sequence[Sequence[RunRecord]]) -> list[CellSummary]:
         if not records:
             raise ValueError("cannot aggregate an empty cell group")
         errors = [r.steady_state_error for r in records]
+        (mean_error,), (ci95,) = _mean_ci95(np.array([errors]))
         summaries.append(
             CellSummary(
                 *_cell_columns(records[0].config),
-                mean_error=float(np.mean(errors)),
-                ci95=_ci95(errors),
+                mean_error=mean_error,
+                ci95=ci95,
                 mean_terminal_tick=float(np.mean([r.terminal_tick for r in records])),
                 consensus_fraction=float(np.mean([r.converged for r in records])),
                 trial_errors=tuple(errors),
@@ -206,10 +215,8 @@ def mean_trajectories(
     Trajectories are aligned on the shared sampling grid; a run that
     converged early contributes its final error to all later ticks.
 
-    Each cell is reduced in one pass over its grid ticks, with ``aggregate``'s
-    CI rule (0.0 for one trial or equal values). Every grid tick's trials
-    are one contiguous row, so numpy sums each in the same order as
-    ``np.mean`` and ``np.std`` of that tick alone.
+    A cell's grid ticks are reduced at once by ``_mean_ci95``, the mean and
+    CI rule of ``aggregate``.
     """
     rows = []
     for records in grouped:
@@ -227,16 +234,8 @@ def mean_trajectories(
             # last sample at or before each grid tick; trajectories start at 0
             idx = np.searchsorted(sampled_at, grid_ticks, side="right") - 1
             per_run.append(values[idx])
-        cols = np.ascontiguousarray(np.stack(per_run).T)
-        n = len(records)
-        if n == 1:
-            ci95 = np.zeros(len(grid_ticks))
-        else:
-            constant = (cols == cols[:, :1]).all(axis=1)
-            ci95 = np.where(constant, 0.0, 1.96 * cols.std(axis=1, ddof=1) / np.sqrt(n))
-        rows.extend(
-            (*cell, t, mean, ci) for t, mean, ci in zip(grid_ticks, cols.mean(axis=1).tolist(), ci95.tolist())
-        )
+        means, ci95 = _mean_ci95(np.ascontiguousarray(np.stack(per_run).T))
+        rows.extend((*cell, t, mean, ci) for t, mean, ci in zip(grid_ticks, means, ci95))
     return rows
 
 

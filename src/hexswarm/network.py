@@ -8,11 +8,11 @@ actually exchange beliefs only when its edge is present in both layers and
 both endpoints are currently broadcasting.
 
 Agents are identified by 0-based indices; edges are (i, j) tuples with i < j.
-Edge sets, with ``physical_edges`` and ``eligible_edges``, are the
-reference representation. The tick instead calls ``eligible_partners``,
-which walks each broadcaster's higher-id interaction neighbours
-(``InteractionNetwork.upper``) and tests distance only for linked pairs
-that both broadcast; the two must agree pair for pair.
+The reference model in ``tests/reference_model.py`` pairs agents through
+the edge sets of ``physical_edges`` and ``eligible_edges``. The tick calls
+``eligible_partners`` instead, which walks each broadcaster's higher-id
+interaction neighbours (``InteractionNetwork.upper``) and tests distance
+only for linked pairs that both broadcast; the tests compare the two.
 """
 
 from __future__ import annotations

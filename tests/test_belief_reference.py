@@ -2,14 +2,16 @@
 table they replace.
 
 Each reference below is the expression the operation used when a belief
-was an int8 array of codes (FALSE=0, UNKNOWN=1, TRUE=2). Lengths run past
-128 so that the masks span more than two 64-bit words.
+was an int8 array of codes (FALSE=0, UNKNOWN=1, TRUE=2); ``select_target``
+is checked against the reference model's ``flatnonzero`` pick. Lengths run
+past 128 so that the masks span more than two 64-bit words.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_model import pick_target
 
 from hexswarm.agent import select_target
 from hexswarm.belief import (
@@ -123,11 +125,6 @@ def test_codes_is_read_only_int8(make):
         codes[0] = 1
 
 
-def flatnonzero_pick(belief, rng):
-    candidates = np.flatnonzero(belief.codes == 1) + 1
-    return int(candidates[int(rng.integers(len(candidates)))]) if len(candidates) else None
-
-
 @given(
     beliefs=st.lists(lengths.flatmap(code_lists), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
@@ -136,7 +133,7 @@ def test_select_target_matches_flatnonzero_draw(beliefs, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for codes in beliefs:
         belief = Belief(codes)
-        assert select_target(belief, rng) == flatnonzero_pick(belief, ref_rng)
+        assert select_target(belief, rng) == pick_target(belief, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -182,7 +179,7 @@ def test_select_target_edge_cases(codes):
     for seed in range(400):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = select_target(belief, rng)
-        assert got == flatnonzero_pick(belief, ref_rng)
+        assert got == pick_target(belief, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         seen.add(got)
     assert seen == {i + 1 for i, code in enumerate(codes) if code == 1}  # every k was drawn

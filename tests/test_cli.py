@@ -1,6 +1,5 @@
 """Tests for the command-line front end."""
 
-import dataclasses
 import io
 import json
 import os
@@ -11,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexswarm import cli
-from hexswarm.agent import Mode
+from run_differential import assert_run_matches_model
+
+from hexswarm import cli, experiment
 from hexswarm.cli import RUN_KEYS, SWEEP_KEYS, main, parse_and_validate
-from hexswarm.engine import RunRecord, SimConfig, _sample, consensus_reached, initialize, run, tick
+from hexswarm.engine import SimConfig, initialize, run
 
 RUN_CONFIG = {
     "m": 4, "hex_disc_radius": 1, "C_r": 20, "C_f": 0.2,
@@ -296,41 +296,6 @@ class TestTraceLogStreaming:
         assert list(out.iterdir()) == []
 
 
-def reference_trace_run(config: SimConfig, every_tick: bool) -> tuple[str, str]:
-    """The CLI's own run loop from before ``run`` and ``trace`` became an
-    ``on_tick`` observer of engine.run(), kept as the reference for the bytes
-    of run_record.json and trace.log."""
-    state = initialize(config)
-    lines = [a.log_line(0) for a in state.agents]
-    trajectory = [_sample(state)]
-    converged = False
-    for t in range(1, config.max_ticks + 1):
-        tick(state)
-        sampled = t % config.sample_every == 0
-        if every_tick or sampled:
-            lines.extend(a.log_line(t) for a in state.agents)
-        if sampled:
-            trajectory.append(_sample(state))
-        if all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
-            [a.belief for a in state.agents]
-        ):
-            converged = True
-            break
-    terminal = state.tick_index
-    if trajectory[-1].tick != terminal:
-        trajectory.append(_sample(state))
-        if not every_tick:
-            lines.extend(a.log_line(terminal) for a in state.agents)
-    record = RunRecord(
-        config=dataclasses.asdict(config),
-        trajectory=trajectory,
-        terminal_tick=terminal,
-        converged=converged,
-        steady_state_error=trajectory[-1].average_error,
-    )
-    return record.to_json() + "\n", "\n".join(lines) + "\n"
-
-
 # (overrides on RUN_CONFIG, how the run must end: "cap", "converged" or None)
 REFERENCE_CASES = {
     **{f"seed{s}": ({"seed": s}, None) for s in range(8)},
@@ -348,17 +313,11 @@ REFERENCE_CASES = {
 class TestRunLoopReference:
     @pytest.mark.parametrize("subcommand", ["run", "trace"])
     @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-    def test_outputs_match_reference_loop(self, subcommand, case, tmp_path):
+    def test_outputs_match_reference_loop(self, subcommand, case):
         overrides, ending = REFERENCE_CASES[case]
         data = {**RUN_CONFIG, **overrides}
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
-        record_text, log_text = reference_trace_run(SimConfig(**data), subcommand == "trace")
-        assert (out / "run_record.json").read_text() == record_text
-        assert (out / "trace.log").read_text() == log_text
-        summary = json.loads(record_text)["summary"]
+        record, _ = assert_run_matches_model(SimConfig(**data), (subcommand,))
+        summary = record["summary"]
         if ending == "cap":
             assert not summary["converged"] and summary["terminal_tick"] == data["max_ticks"]
         elif ending == "converged":
@@ -393,6 +352,18 @@ class TestSweepSubcommand:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "--workers" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_bounded_before_any_pool(self, sweep_config, tmp_path, monkeypatch, capsys):
+        def no_pool(max_workers):
+            raise AssertionError("pool built")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        assert main(["validate", "--config", str(sweep_config), "--workers", "64"]) == 0
+        capsys.readouterr()
+        argv = ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "out"), "--workers", "65"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --workers out of range: need --workers <= 64, got 65\n"
         assert not (tmp_path / "out").exists()
 
     def test_repeat_invocation_identical_bytes(self, sweep_config, tmp_path):

@@ -24,10 +24,9 @@ EXPECTED = {
     "experiment.SweepSpec.validate",
     "environment.build_grid",
     "environment.sample_ground_truth",
-    # The CLI's override syntax, --workers, config I/O, unknown keys and a
-    # sweep config given to run.
+    # The CLI's override syntax, config I/O, unknown keys and a sweep config
+    # given to run.
     "cli._parse_override",
-    "cli.parse_and_validate",
     "cli._load_config_data",
     "cli._check_keys",
     "cli._build_run_config",
@@ -62,4 +61,4 @@ def test_only_the_listed_functions_raise_config_error():
 
 def test_rules_cover_exactly_the_numeric_fields():
     run_fields = {f.name for f in dataclasses.fields(SimConfig)} - {"topology"}
-    assert RULES.keys() == run_fields | {"repeats", "base_seed"}
+    assert RULES.keys() == run_fields | {"repeats", "base_seed", "workers"}

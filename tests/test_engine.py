@@ -6,15 +6,17 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
+import reference_model
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from run_differential import assert_run_matches_model
 
 from hexswarm import engine
-from hexswarm.agent import Mode, advance_position, at_target, on_arrival, on_fusion
+from hexswarm.agent import Mode
 from hexswarm.belief import Belief, GroundTruth
 from hexswarm.engine import (
-    RunRecord,
     SimConfig,
     average_error,
     consensus_reached,
@@ -25,7 +27,6 @@ from hexswarm.engine import (
 )
 from hexswarm.environment import DEFAULT_CIRCUMRADIUS
 from hexswarm.errors import ConfigError
-from hexswarm.network import eligible_edges, physical_edges
 
 FAST = dict(m=6, hex_disc_radius=2, C_r=20.0, C_f=0.2, epsilon=0.1, max_ticks=2000, seed=11)
 
@@ -70,6 +71,10 @@ class TestConfig:
             pytest.param("epsilon", 10**5000, id="epsilon-10**5000"),
             pytest.param("topology", 10**5000, id="topology-10**5000"),
             ("seed", 2**64),
+            ("max_ticks", 2**64),
+            ("sample_every", 2**64),
+            pytest.param("max_ticks", 10**5000, id="max_ticks-10**5000"),
+            pytest.param("sample_every", 10**5000, id="sample_every-10**5000"),
         ],
     )
     def test_validation_names_the_field(self, field, value):
@@ -83,6 +88,7 @@ class TestConfig:
         SimConfig(m=1000, hex_disc_radius=300).validate()
         SimConfig(m=1000, topology="lattice:998").validate()
         SimConfig(seed=2**64 - 1).validate()
+        SimConfig(max_ticks=2**64 - 1, sample_every=2**64 - 1).validate()
 
     def test_parse_topology(self):
         assert parse_topology("complete") == ("complete", None)
@@ -196,35 +202,6 @@ class TestTickPairing:
         assert all(a.mode is Mode.SATURATED for a in state.agents)
 
 
-def reference_fusion_phase(state, broadcasters):
-    """The edge-set fusion phase: all-pairs proximity, set filtering, and an
-    adjacency built from the sorted eligible edges."""
-    agents = state.agents
-    phys = physical_edges([(a.x, a.y) for a in agents], state.config.C_r)
-    elig = eligible_edges(phys, state.network, set(broadcasters))
-    if not elig:
-        return
-    adjacency = {}
-    for i, j in sorted(elig):
-        adjacency.setdefault(i, []).append(j)
-        adjacency.setdefault(j, []).append(i)
-    matched = set()
-    for i in state.rng.permutation(broadcasters):
-        i = int(i)
-        if i in matched or i not in adjacency:
-            continue
-        candidates = [j for j in adjacency[i] if j not in matched]
-        if not candidates:
-            continue
-        j = candidates[int(state.rng.integers(len(candidates)))]
-        belief_i, belief_j = agents[i].belief, agents[j].belief
-        on_fusion(agents[i], belief_j, state.rng)
-        on_fusion(agents[j], belief_i, state.rng)
-        matched.update((i, j))
-        state.fusion_events += 1
-        state.last_fusions.append((i, j))
-
-
 CELL_SPACING = math.sqrt(3) * DEFAULT_CIRCUMRADIUS
 
 
@@ -249,9 +226,11 @@ class TestFusionPhaseMatchesEdgeSetReference:
         broadcasters = [a.id for a in state.agents if a.mode is not Mode.EXPLORING]
         assume(len(broadcasters) >= 2)  # tick() skips the phase otherwise
         expected = copy.deepcopy(state)
+        expected.rng = np.random.default_rng()
+        expected.rng.bit_generator.state = state.rng.bit_generator.state
 
         engine._run_fusion_phase(state, broadcasters)
-        reference_fusion_phase(expected, broadcasters)
+        reference_model.fusion_phase(expected, broadcasters)
         assert state.last_fusions == expected.last_fusions
         assert state.fusion_events == expected.fusion_events
         assert state.rng.bit_generator.state == expected.rng.bit_generator.state
@@ -268,53 +247,10 @@ class TestFusionPhaseMatchesEdgeSetReference:
             dict(m=12, topology="complete", C_r=100.0, C_f=1.0, epsilon=0.1, seed=5),
         ],
     )
-    def test_whole_run(self, overrides, monkeypatch):
+    def test_whole_run(self, overrides):
         config = SimConfig(hex_disc_radius=2, max_ticks=1500, sample_every=10, **overrides)
-        record = run(config).to_json()
-        monkeypatch.setattr(engine, "_run_fusion_phase", reference_fusion_phase)
-        assert record == run(config).to_json()
-        assert json.loads(record)["summary"]["fusion_events"] > 0
-
-
-def reference_tick(state):
-    """The tick with phases 1-2 as two per-agent loops: every agent moves by
-    advance_position, then every agent at_target handles its arrival."""
-    cfg, agents, rng = state.config, state.agents, state.rng
-    state.last_fusions = []
-    for agent in agents:
-        advance_position(agent, state.grid, rng)
-    for agent in agents:
-        if agent.target is not None and at_target(agent, state.grid):
-            on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
-    if cfg.C_f > 0:
-        broadcasters = [a.id for a in agents if a.mode is not Mode.EXPLORING]
-        if len(broadcasters) >= 2:
-            engine._run_fusion_phase(state, broadcasters)
-    state.tick_index += 1
-    return state
-
-
-def reference_run(config):
-    """engine.run with reference_tick and the convergence check after every tick."""
-    state = initialize(config)
-    trajectory = [engine._sample(state)]
-    converged = False
-    for t in range(1, config.max_ticks + 1):
-        reference_tick(state)
-        converged = all(a.mode is Mode.SATURATED for a in state.agents) and consensus_reached(
-            [a.belief for a in state.agents]
-        )
-        if t % config.sample_every == 0 or converged or t == config.max_ticks:
-            trajectory.append(engine._sample(state))
-        if converged:
-            break
-    return RunRecord(
-        config=dataclasses.asdict(config),
-        trajectory=trajectory,
-        terminal_tick=state.tick_index,
-        converged=converged,
-        steady_state_error=trajectory[-1].average_error,
-    )
+        record, _ = assert_run_matches_model(config)
+        assert record["summary"]["fusion_events"] > 0
 
 
 class TestRunMatchesTwoLoopReference:
@@ -331,18 +267,17 @@ class TestRunMatchesTwoLoopReference:
             (dict(m=8, hex_disc_radius=2, C_r=40.0, C_f=0.1, speed=17.0, seed=9, sample_every=7), True),
             (dict(seed=42), True),
             (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237), False),
-            # Idles to max_ticks with a row on every tick: reference_run samples
+            # Idles to max_ticks with a row on every tick: the model samples
             # each row afresh, while run repeats rows taken without a change.
             (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237, sample_every=1), False),
         ],
     )
     def test_record_bytes(self, overrides, converges):
         config = SimConfig(**{"max_ticks": 5000, "sample_every": 50, **overrides})
-        record = run(config)
-        assert record.to_json() == reference_run(config).to_json()
-        assert record.converged is converges
+        record, _ = assert_run_matches_model(config)
+        assert record["summary"]["converged"] is converges
         if not converges:
-            assert record.terminal_tick == config.max_ticks
+            assert record["summary"]["terminal_tick"] == config.max_ticks
 
 
 @st.composite
@@ -375,39 +310,6 @@ class TestConvergenceSkip:
         run(config, on_tick)
 
 
-def full_path_run(config):
-    """run() with a no-op on_tick, which keeps it off the idle path; also
-    returns the first tick after which every agent was saturated (or None)."""
-    first_saturated = []
-
-    def on_tick(state, sampled):
-        if not first_saturated and all(a.mode is Mode.SATURATED for a in state.agents):
-            first_saturated.append(state.tick_index)
-
-    record = run(config, on_tick)
-    return record, (first_saturated or [None])[0]
-
-
-def count_move_calls(monkeypatch):
-    calls = []
-    move_agents = engine.move_agents
-
-    def counted(*args):
-        calls.append(None)
-        return move_agents(*args)
-
-    monkeypatch.setattr(engine, "move_agents", counted)
-    return calls
-
-
-def expected_move_calls(config, record, first_saturated):
-    """Ticks that move the agents: all of them, unless an asocial run
-    saturated every agent without converging and idled after that tick."""
-    if config.C_f == 0 and not record.converged and first_saturated is not None:
-        return first_saturated
-    return record.terminal_tick
-
-
 class TestIdleMatchesFullPath:
     @pytest.mark.parametrize(
         "overrides,idles",
@@ -425,24 +327,14 @@ class TestIdleMatchesFullPath:
             (dict(m=6, hex_disc_radius=2, C_f=0.2, epsilon=0.1, seed=11), False),
         ],
     )
-    def test_record_bytes(self, overrides, idles, monkeypatch):
+    def test_record_bytes(self, overrides, idles):
         config = SimConfig(**{"C_f": 0.0, "max_ticks": 2000, "sample_every": 30, **overrides})
-        expected, first_saturated = full_path_run(config)
-        calls = count_move_calls(monkeypatch)
-        assert run(config).to_json() == expected.to_json()
-        assert len(calls) == expected_move_calls(config, expected, first_saturated)
-        assert (len(calls) < expected.terminal_tick) is idles
+        assert assert_run_matches_model(config)[1] is idles
 
     @settings(max_examples=60, deadline=None)
     @given(config=small_configs(), max_ticks=st.integers(1, 800), sample_every=st.integers(1, 150))
     def test_any_small_config(self, config, max_ticks, sample_every):
-        config = dataclasses.replace(config, max_ticks=max_ticks, sample_every=sample_every)
-        expected, first_saturated = full_path_run(config)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = count_move_calls(monkeypatch)
-            assert run(config).to_json() == expected.to_json()
-        assert len(calls) == expected_move_calls(config, expected, first_saturated)
-
+        assert_run_matches_model(dataclasses.replace(config, max_ticks=max_ticks, sample_every=sample_every))
 
     def test_idle_ticks_report_no_events(self, monkeypatch):
         # Saturates at tick 156, idles to max_ticks.

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import reference_model
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hexswarm import experiment
 from hexswarm.engine import RunRecord, TrajectoryPoint
@@ -75,12 +78,17 @@ class TestExpand:
     @pytest.mark.parametrize(
         "field,value",
         [("repeats", 2.5), ("repeats", True), ("base_seed", 1.0), ("base_seed", -1), ("base_seed", 2**64),
-         pytest.param("base_seed", -10**5000, id="base_seed--10**5000")],
+         pytest.param("base_seed", -10**5000, id="base_seed--10**5000"), ("repeats", 100_001),
+         pytest.param("repeats", 10**5000, id="repeats-10**5000")],
     )
     def test_malformed_repeats_and_base_seed_rejected(self, field, value):
         spec = SweepSpec(**{field: value}, **TINY)
         with pytest.raises(ConfigError, match=field):
             spec.validate()
+
+    def test_upper_bounds_are_inclusive(self):
+        # Checked without expanding: 100,000 trials take minutes to run.
+        SweepSpec(repeats=100_000, base_seed=2**64 - 1, **TINY).validate()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -135,6 +143,11 @@ class TestAggregate:
         assert summary.mean_error == pytest.approx(0.1)
         assert summary.ci95 == pytest.approx(1.96 * math.sqrt(0.02) / math.sqrt(2))
         assert summary.ci95 == pytest.approx(0.196)
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 0.5]) | st.floats(0, 1), min_size=1, max_size=200))
+    def test_matches_per_cell_reference(self, errors):
+        (summary,) = aggregate([[fake_record(errors=(0.5, e)) for e in errors]])
+        assert (summary.mean_error, summary.ci95) == (float(np.mean(errors)), reference_model.ci95(errors))
 
     def test_single_trial_flagged_degenerate(self):
         (summary,) = aggregate([[fake_record()]])
@@ -210,28 +223,7 @@ class TestMeanTrajectories:
                                          steady_state_error=errors[-1]))
             grouped.append(records)
         rows = mean_trajectories(grouped, sample_every=50)
-        assert list(map(repr, rows)) == list(map(repr, per_tick_rows(grouped, 50)))
-
-
-def per_tick_rows(grouped, sample_every):
-    """mean_trajectories with one np.mean and one _ci95 per grid tick."""
-    rows = []
-    for records in grouped:
-        cell = experiment._cell_columns(records[0].config)
-        horizon = max(r.terminal_tick for r in records)
-        grid_ticks = list(range(0, horizon + 1, sample_every))
-        if grid_ticks[-1] != horizon:
-            grid_ticks.append(horizon)
-        per_run = []
-        for r in records:
-            sampled_at = np.array([p.tick for p in r.trajectory])
-            values = np.array([p.average_error for p in r.trajectory])
-            per_run.append(values[np.searchsorted(sampled_at, grid_ticks, side="right") - 1])
-        stacked = np.stack(per_run)
-        for col, t in enumerate(grid_ticks):
-            at_t = stacked[:, col]
-            rows.append((*cell, t, float(np.mean(at_t)), experiment._ci95(list(at_t))))
-    return rows
+        assert list(map(repr, rows)) == list(map(repr, reference_model.trajectory_rows(grouped, 50)))
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +273,15 @@ class TestRunSweepAndCsv:
         pooled = run_sweep(spec, workers=workers)
         assert sizes == [pool_size]
         assert [r.to_json() for r in pooled] == [r.to_json() for r in records]
+
+    @pytest.mark.parametrize("workers", [0, 65, pytest.param(10**5000, id="10**5000")])
+    def test_worker_count_past_the_bounds_starts_no_pool(self, tiny_sweep, monkeypatch, workers):
+        def no_pool(max_workers):
+            raise AssertionError("pool built")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigError, match="workers out of range"):
+            run_sweep(tiny_sweep[0], workers=workers)
 
     def test_group_by_cell_shape(self, tiny_sweep):
         spec, records = tiny_sweep

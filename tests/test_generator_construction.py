@@ -9,6 +9,7 @@ import inspect
 import pkgutil
 
 import hexswarm
+from hexswarm.engine import LemireGenerator, SimConfig, initialize
 
 CONSTRUCTORS = {"default_rng", "Generator", "PCG64", "LemireGenerator"}
 
@@ -46,3 +47,7 @@ def test_only_initialize_builds_a_generator():
         "engine.initialize.PCG64",
     }
     assert set().union(*(reads for _, reads in uses)) == {"engine.LemireGenerator.__init__"}
+
+
+def test_initialize_builds_a_lemire_generator():
+    assert type(initialize(SimConfig(m=4, hex_disc_radius=1)).rng) is LemireGenerator

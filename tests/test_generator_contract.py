@@ -12,18 +12,19 @@ of only as a golden-trajectory mismatch.
   over the bit generator's ``next_uint32``, which ``engine.LemireGenerator``
   reproduces: same values, same state after every call, so ``random`` and
   ``shuffle`` may come between its draws. Every other call is numpy's.
+  Whole runs are compared with the reference model, which draws from a
+  plain ``default_rng(seed)``.
 """
 
 import copy
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from run_differential import assert_run_matches_model
 
-from hexswarm import engine
-from hexswarm.engine import LemireGenerator, SimConfig, initialize, run
+from hexswarm.engine import LemireGenerator, SimConfig
 
 LENGTHS = [*range(71), 127, 200, 257, 1000]
 # Small bounds, powers of two and their neighbours (2**31 + 1 rejects about
@@ -173,17 +174,7 @@ WHOLE_RUNS = [
 
 
 @pytest.mark.parametrize("overrides", WHOLE_RUNS)
-def test_whole_run_matches_plain_generator(overrides, monkeypatch):
-    config = SimConfig(**{"sample_every": 10, **overrides})
-    assert type(initialize(config).rng) is LemireGenerator
-
-    def traced_run():
-        states = []
-        record = run(config, on_tick=lambda state, sampled: states.append(state)).to_json()
-        return record, states[-1].rng.bit_generator.state, run(config).to_json()
-
-    fast = traced_run()
-    monkeypatch.setattr(engine, "LemireGenerator", np.random.Generator)
-    assert type(initialize(config).rng) is np.random.Generator
-    assert fast == traced_run()
-    assert json.loads(fast[0])["summary"]["terminal_tick"] > 0
+def test_whole_run_matches_plain_generator(overrides):
+    # The reference model draws from np.random.default_rng(seed).
+    record, _ = assert_run_matches_model(SimConfig(**{"sample_every": 10, **overrides}))
+    assert record["summary"]["terminal_tick"] > 0

@@ -5,6 +5,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
+import reference_model
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -224,18 +225,18 @@ class TestEligibleMatrix:
         )
         ids = sorted(data.draw(st.sets(st.integers(0, m - 1))))
 
-        reference = eligible_edges(physical_edges(pts, radius), net, set(ids))
+        reference = reference_model.eligible_pairs(ids, pts, radius, net)
         assert partner_pairs(ids, pts, radius, net) == reference
 
     def test_boundary_is_closed(self):
         pts = [(0.0, 0.0), (20.0, 0.0), (20.000001, 0.0)]
         assert partner_pairs([0, 1, 2], pts, 20.0, complete_graph(3)) == {(0, 1), (1, 2)}
         # Neighbouring cell centers lie one cell spacing apart, some exactly
-        # and some a rounding error beyond it; the reference decides which.
+        # and some a rounding error beyond it; the model decides which.
         net = complete_graph(len(CELL_CENTERS))
         ids = list(range(len(CELL_CENTERS)))
         for radius in (CELL_SPACING, 2 * CELL_SPACING, 30.0):
-            reference = eligible_edges(physical_edges(CELL_CENTERS, radius), net, set(ids))
+            reference = reference_model.eligible_pairs(ids, CELL_CENTERS, radius, net)
             assert reference
             assert partner_pairs(ids, CELL_CENTERS, radius, net) == reference
 
