@@ -20,35 +20,50 @@ UNKNOWN = 1
 NUMERIC = np.array([0.0, 0.5, 1.0])  # the error metric's reading of each code
 
 
+def fuse(a, b):
+    """The fusion table, proposition by proposition."""
+    return Belief(_FUSION[a.codes, b.codes].tolist())
+
+
+def error(codes, truth):
+    """Mean distance of the codes' numeric readings from the truth's, per row."""
+    return np.abs(NUMERIC[codes] - NUMERIC[truth.codes]).mean(axis=-1)
+
+
+def evidence(index, truth, epsilon, rng):
+    """Proposition ``index`` of the truth, flipped with probability epsilon."""
+    codes, true = np.full(len(truth), UNKNOWN, dtype=np.int8), truth.codes[index - 1]
+    codes[index - 1] = true if rng.random() >= epsilon else 2 - true
+    return Belief(codes.tolist())
+
+
 def pick_target(belief, rng):
     """One draw over the Unknown propositions in ascending order, or None."""
     unknown = np.flatnonzero(belief.codes == UNKNOWN) + 1
     return int(unknown[rng.integers(len(unknown))]) if len(unknown) else None
 
 
-def adopt(agent, codes):
+def adopt(agent, belief):
     """Take a belief; say if it is uncertain, else saturate the agent."""
-    agent.belief = Belief(codes.tolist())
-    if UNKNOWN in codes:
+    agent.belief = belief
+    if UNKNOWN in belief.codes:
         return True
     agent.mode, agent.target = Mode.SATURATED, None
     return False
 
 
 def arrive(agent, state):
-    """Observe (flipped with probability epsilon), retarget, maybe broadcast."""
-    rng, i = state.rng, agent.target - 1
-    evidence = np.full(state.grid.n, UNKNOWN, dtype=np.int8)
-    evidence[i] = state.truth.codes[i] if rng.random() >= state.config.epsilon else 2 - state.truth.codes[i]
-    if adopt(agent, _FUSION[agent.belief.codes, evidence]):
+    """Observe the target, retarget, maybe start broadcasting."""
+    rng, cfg = state.rng, state.config
+    if adopt(agent, fuse(agent.belief, evidence(agent.target, state.truth, cfg.epsilon, rng))):
         agent.target = pick_target(agent.belief, rng)
-        if agent.mode is Mode.EXPLORING and rng.random() < state.config.C_f:
+        if agent.mode is Mode.EXPLORING and rng.random() < cfg.C_f:
             agent.mode = Mode.BROADCASTING
 
 
 def fuse_with(agent, partner, rng):
     """Fusing ends broadcasting; a target now known, or none, is redrawn."""
-    if adopt(agent, _FUSION[agent.belief.codes, partner.codes]):
+    if adopt(agent, fuse(agent.belief, partner)):
         agent.mode, agent.waypoint = Mode.EXPLORING, None
         if agent.target is None or agent.belief.codes[agent.target - 1] != UNKNOWN:
             agent.target = pick_target(agent.belief, rng)
@@ -115,26 +130,26 @@ def tick(state):
 
 
 def sample(state):
+    """A trajectory row, and whether every agent holds one certain belief."""
     codes = np.array([a.belief.codes for a in state.agents])
-    errors = np.abs(NUMERIC[codes] - NUMERIC[state.truth.codes]).mean(axis=1).tolist()
-    certainty = np.count_nonzero(codes != UNKNOWN) / codes.size
-    return TrajectoryPoint(state.tick_index, sum(errors) / len(errors), certainty, state.fusion_events)
+    errors, certainty = error(codes, state.truth).tolist(), np.count_nonzero(codes != UNKNOWN) / codes.size
+    point = TrajectoryPoint(state.tick_index, sum(errors) / len(errors), certainty, state.fusion_events)
+    return point, bool(certainty == 1 and (codes == codes[0]).all())
 
 
 def run(config, on_tick=None):
     """Tick to a unanimous, fully certain population or ``max_ticks``;
     ``on_tick(state, sampled)`` observes set-up and every tick."""
     state = initialize(config)
-    trajectory, done = [sample(state)], False
+    trajectory = [sample(state)[0]]
     if on_tick:
         on_tick(state, True)
     for t in range(1, config.max_ticks + 1):
         tick(state)
-        codes = np.array([a.belief.codes for a in state.agents])
-        done = bool((codes != UNKNOWN).all() and (codes == codes[0]).all())
+        point, done = sample(state)
         sampled = t % config.sample_every == 0 or done or t == config.max_ticks
         if sampled:
-            trajectory.append(sample(state))
+            trajectory.append(point)
         if on_tick:
             on_tick(state, sampled)
         if done:

@@ -15,14 +15,17 @@ from hexswarm.cli import main
 
 def assert_run_matches_model(config, subcommands=("run", "trace")):
     """Compare ``engine.run`` without a callback, and each subcommand, with the
-    model: the record JSON, ``trace.log`` and, for every run that did not
-    idle, the final generator state. The run without a callback must idle
-    exactly when the model ends asocial, saturated and unconverged. Returns
-    the record as a dict and whether that run idled."""
-    logs, final, states = {"run": [], "trace": []}, [], []
+    model: the record JSON, ``trace.log`` and the final generator state. The
+    run without a callback must idle exactly when the model ends asocial and
+    unconverged after every agent saturated, and then end in the model's
+    generator state of the first all-saturated tick: idle ticks draw nothing.
+    Returns the record as a dict and whether that run idled."""
+    logs, final, saturated, states = {"run": [], "trace": []}, [], [], []
 
     def log(state, sampled):
         final[:] = [state]
+        if not saturated and all(a.mode is Mode.SATURATED for a in state.agents):
+            saturated.append(state.rng.bit_generator.state)
         lines = [f"{a.log_line(state.tick_index)}\n" for a in state.agents]
         logs["trace"] += lines
         logs["run"] += lines if sampled else []
@@ -38,9 +41,8 @@ def assert_run_matches_model(config, subcommands=("run", "trace")):
             assert main([subcommand, "--config", f"{tmp}/run.json", "--out", str(out)]) == 0
             assert (out / "run_record.json").read_text() == expected + "\n"
             assert (out / "trace.log").read_text() == "".join(logs[subcommand])
-    record, model = json.loads(expected), final[0]
-    saturated = all(a.mode is Mode.SATURATED for a in model.agents)
-    idles = config.C_f == 0 and saturated and not record["summary"]["converged"]
+    record, end = json.loads(expected), final[0].rng.bit_generator.state
+    idles = config.C_f == 0 and bool(saturated) and not record["summary"]["converged"]
     assert [s.idle for s in states] == [idles] + [False] * len(subcommands)
-    assert all(s.idle or s.rng.bit_generator.state == model.rng.bit_generator.state for s in states)
+    assert [s.rng.bit_generator.state for s in states] == [saturated[0] if idles else end] + [end] * len(subcommands)
     return record, idles

@@ -20,7 +20,7 @@ from hexswarm.agent import (
     on_fusion,
     select_target,
 )
-from hexswarm.belief import Belief, GroundTruth, uncertain_indices
+from hexswarm.belief import Belief, GroundTruth
 from hexswarm.environment import ARRIVAL_RADIUS, NoiseModel, build_grid
 
 
@@ -48,12 +48,10 @@ class TestSelectTarget:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_sorted_set_draw(self, beliefs, seed):
-        # Reference: a uniform draw over the sorted set of uncertain indices.
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for codes in beliefs:
             belief = Belief(codes)
-            candidates = sorted(uncertain_indices(belief))
-            expected = candidates[int(ref_rng.integers(len(candidates)))] if candidates else None
+            expected = reference_model.pick_target(belief, ref_rng)
             got = select_target(belief, rng)
             assert got == expected
             assert type(got) is type(expected)

@@ -1,8 +1,9 @@
 """``tests/reference_model.py`` states the model without the fast paths it
 checks: it neither imports nor calls them, and reaches ``hexswarm`` only
 through ``from hexswarm.<module> import <name>``, so no module object opens
-a way to them. No other test module keeps a whole-run or tick reference of
-its own."""
+a way to them. No other test module keeps a reference of its own: no
+``reference_*`` function, and no code-array building block of the model's
+(the fusion table, the numeric readings, a ``flatnonzero`` pick)."""
 
 import ast
 from pathlib import Path
@@ -18,6 +19,7 @@ FAST_PATHS = {
 # which the guard rejects; the model defines functions of these names.
 ENGINE_LOOP = {"tick", "run", "initialize"}
 RETIRED = {"flatnonzero_pick", "per_tick_rows"}
+MODEL_BLOCKS = {"_FUSION", "NUMERIC", "flatnonzero"}
 
 
 def fast_path_uses(source: str) -> list[str]:
@@ -57,13 +59,35 @@ def test_guard_sees(source):
     assert fast_path_uses(source)
 
 
+def own_references(source: str) -> list[str]:
+    """Each ``reference_*`` or retired function, and each use of a model block."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [node.name] if node.name.startswith("reference_") or node.name in RETIRED else []
+        elif isinstance(node, ast.alias | ast.Name | ast.Attribute):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or node.attr
+            found += [name] if name in MODEL_BLOCKS else []
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def reference_tick(state): pass",
+        "from hexswarm.belief import _FUSION",
+        "NUMERIC = np.array([0.0, 0.5, 1.0])",
+        "unknown = np.flatnonzero(codes == 1)",
+    ],
+)
+def test_reference_guard_sees(source):
+    assert own_references(source)
+
+
 def test_no_other_module_keeps_a_reference():
-    found = [
-        f"{path.name}:{node.name}"
+    found = {
+        path.name: own_references(path.read_text())
         for path in sorted(TESTS.glob("*.py"))
         if path.name != "reference_model.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and (node.name.startswith("reference_") or node.name in RETIRED)
-    ]
-    assert found == []
+    }
+    assert {name: refs for name, refs in found.items() if refs} == {}
