@@ -107,14 +107,26 @@ def parse_and_validate(argv: list[str]) -> CliInvocation:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error (``json`` keeps the last)."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config key {key!r} appears more than once")
+        data[key] = value
+    return data
+
+
 def _load_config_data(invocation: CliInvocation) -> dict:
     data: dict = {}
     if invocation.config_path is not None:
         try:
             with open(invocation.config_path) as fh:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config {invocation.config_path}: {exc}") from exc
+        except ConfigError:
+            raise
         except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config {invocation.config_path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

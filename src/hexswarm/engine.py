@@ -38,10 +38,11 @@ agent has a target, so none arrives, and nobody broadcasts. If it has not
 converged by then it never will, so ``run`` sets ``SimState.idle`` and
 every later tick only counts: ``tick`` advances the tick counter and
 returns, agents stop wandering and the generator is no longer drawn
-from. ``run`` still calls ``tick`` once per tick, so that the number of
-``tick`` calls equals the terminal tick. Nothing in the ``RunRecord``
-shows this. ``run`` never idles when given an ``on_tick`` callback, since
-a callback may observe positions.
+from. ``run`` then leaves its per-tick loop, calls ``tick`` once per
+remaining tick so that the number of calls equals the terminal tick, and
+appends the remaining rows at once, all with the values of the idle state.
+Nothing in the ``RunRecord`` shows this. ``run`` never idles when given
+an ``on_tick`` callback, since a callback may observe positions.
 """
 
 from __future__ import annotations
@@ -340,8 +341,9 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
 
     Without ``on_tick``, an asocial run (``C_f == 0``) that has every agent
     saturated but has not converged goes idle (see the module docstring):
-    its remaining ticks only count up to ``max_ticks``. The record is the
-    same either way; only the generator's use after that point differs.
+    its remaining ticks only count up to ``max_ticks``, in a bare loop, and
+    its remaining rows repeat one sample. The record is the same either
+    way; only the generator's use after that point differs.
     """
     state = initialize(config)
     trajectory = [_sample(state)]
@@ -359,7 +361,9 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
         # newly converge: the check is needed only after a tick with one.
         if state.last_arrivals or state.last_fusions:
             changed = True
-            saturated = all(a.mode is SATURATED for a in state.agents)
+            # Arrivals first: an unsaturated arrival, the usual case, skips the full scan.
+            arrivals_saturated = all(a.mode is SATURATED for a in state.last_arrivals)
+            saturated = arrivals_saturated and all(a.mode is SATURATED for a in state.agents)
             converged = saturated and consensus_reached([a.belief for a in state.agents])
             # Asocial and all saturated: no agent arrives or broadcasts
             # again, so nothing changes before max_ticks. The fusion list is
@@ -368,6 +372,7 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
             if saturated and not converged and config.C_f == 0 and on_tick is None:
                 state.idle = True
                 state.last_arrivals = []
+                break
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
             # A row depends only on beliefs and the fusion count, which change
@@ -379,6 +384,14 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
             on_tick(state, sampled)
         if converged:
             break
+    if state.idle:
+        # Idle since tick t, which has no row yet; later ticks only count.
+        for _ in range(config.max_ticks - t):
+            tick(state)
+        last = _sample(state)
+        every = config.sample_every
+        trajectory += [last._replace(tick=s) for s in range(t + (-t) % every, config.max_ticks, every)]
+        trajectory.append(last)
     return RunRecord(
         config=asdict(config),
         trajectory=trajectory,

@@ -1,6 +1,9 @@
 """The summary of tools/bench_pairs.py, which reports paired benchmark runs."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,22 @@ def test_unscaled_medians_beside_the_scaled_ones():
     # A run without an unscaled block (an older BENCH file) leaves the medians out.
     del change[0]["unscaled"]
     assert "unscaled_median" not in bench_pairs.summarize(parent, change, better)["setup_s"]["parent"]
+
+
+def test_each_run_keeps_the_unscaled_and_provenance_blocks(monkeypatch, tmp_path):
+    provenance = {"workload": "asocial", "seed": 9, "git_commit": "0123abc", "config_hash": "feed"}
+    final = {"correct": True, "attempted": 7, "failed": 0, "metrics": {"wall_s": {"value": 0.3, "unit": "s"}}}
+    stdout = "\n".join(json.dumps(line) for line in (
+        {"provenance": provenance, "unscaled": {"wall_s": 0.6}, "references_checked": 7, "digests": {}}, final,
+    ))
+    calls = []
+
+    def fake_run(argv, cwd, capture_output, text):
+        calls.append((argv, cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.bench(tmp_path, "asocial", 9)
+    assert result == {**final, "unscaled": {"wall_s": 0.6}, "provenance": provenance}
+    assert calls == [([sys.executable, "perfbench/bench.py", "--workload", "asocial", "--seed", "9",
+                       "--seconds", "14", "--trace", "0"], tmp_path)]

@@ -158,6 +158,31 @@ class TestValidate:
         assert override.split("=")[0] in captured.err
         assert not (tmp_path / "out").exists()
 
+    # json keeps the last of a repeated key, which would drop the first value
+    # silently; a run file, a sweep file and a nested object each repeat one.
+    @pytest.mark.parametrize("subcommand", ["validate", "run", "trace", "sweep"])
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            pytest.param('{"seed": 1, "seed": 2}', "seed", id="run-file"),
+            pytest.param('{"m": 4, "C_f": [0.0, 0.5], "repeats": 2, "C_f": [0.1]}', "C_f", id="sweep-file"),
+            pytest.param('{"m": 4, "topology": [{"k": 2, "k": 4}]}', "k", id="nested"),
+        ],
+    )
+    def test_repeated_config_key_exits_2_with_one_line(self, subcommand, text, key, tmp_path, capsys):
+        path = tmp_path / "repeats.json"
+        path.write_text(text)
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config key {key!r} appears more than once\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_override_keeps_the_last(self, run_config, capsys):
+        argv = ["validate", "--config", str(run_config), "--set", "seed=1", "--set", "seed=2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(" seed=2\n")
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

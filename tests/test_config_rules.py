@@ -24,10 +24,11 @@ EXPECTED = {
     "experiment.SweepSpec.validate",
     "environment.build_grid",
     "environment.sample_ground_truth",
-    # The CLI's override syntax, config I/O, unknown keys and a sweep config
-    # given to run.
+    # The CLI's override syntax, config I/O, a key repeated in a config file,
+    # unknown keys and a sweep config given to run.
     "cli._parse_override",
     "cli._load_config_data",
+    "cli._unique_keys",
     "cli._check_keys",
     "cli._build_run_config",
 }

@@ -325,6 +325,16 @@ class TestIdleMatchesFullPath:
             (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, max_ticks=120), False),
             # C_f > 0: saturated agents broadcast, so the run never idles.
             (dict(m=6, hex_disc_radius=2, C_f=0.2, epsilon=0.1, seed=11), False),
+            # Idle boundaries of the seed-3 run above, which goes idle at tick
+            # 156: on a row (156 = 13 * 12); one tick after a row, so the
+            # tail's first row is a fresh sample; a row on every tick; no row
+            # before max_ticks; no tail; a one-tick tail.
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, sample_every=12), True),
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, sample_every=155), True),
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, sample_every=1), True),
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, sample_every=5000), True),
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, max_ticks=156), True),
+            (dict(m=6, hex_disc_radius=2, epsilon=0.1, seed=3, max_ticks=157), True),
         ],
     )
     def test_record_bytes(self, overrides, idles):

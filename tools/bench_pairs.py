@@ -12,7 +12,9 @@ parent runs first in odd pairs and the change first in even ones. The
 change is this checkout's working tree. Each run's final JSON line is
 merged into the output file under ``"W --seed S"``, next to the entries of
 other workloads already there, together with the ``unscaled`` block of the
-line before it (the raw, uncalibrated wall and setup times). The median,
+line before it (the raw, uncalibrated wall and setup times) and its
+``provenance`` block (versions, config hash and the git commit of the tree
+that ran, "unknown" for the extracted parent). The median,
 quartiles and wins of every end-to-end metric are printed, and for wall_s
 and setup_s also each side's unscaled median. The script refuses to merge
 into a file that holds runs against another parent or from another host.
@@ -41,7 +43,7 @@ SECONDS = 14
 PROTOCOL = (
     "alternating parent/change pairs, parent first in odd pairs; "
     "each list holds the final JSON line of every run, in pair order, "
-    "with the unscaled block of the line before it"
+    "with the unscaled and provenance blocks of the line before it"
 )
 
 
@@ -134,7 +136,7 @@ def extract(ref: str, into: Path) -> None:
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``tree``; returns its final JSON line with the
-    ``unscaled`` block of the line before it added."""
+    ``unscaled`` and ``provenance`` blocks of the line before it added."""
     argv = [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -143,7 +145,9 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(lines[-1])
     if len(lines) >= 2:
-        result["unscaled"] = json.loads(lines[-2]).get("unscaled", {})
+        before = json.loads(lines[-2])
+        result["unscaled"] = before.get("unscaled", {})
+        result["provenance"] = before.get("provenance", {})
     if not result["correct"] or result["failed"]:
         print(f"warning: a run in {tree} reported correct={result['correct']}, failed={result['failed']}",
               file=sys.stderr)
