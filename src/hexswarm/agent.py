@@ -13,6 +13,10 @@ The tick moves the population with ``move_agents``, one pass that advances
 every agent and detects arrivals exactly as ``advance_position`` and
 ``at_target`` do per agent; the reference model in
 ``tests/reference_model.py`` moves with those, and the tests compare the two.
+When nothing observes an agent's position mid-leg, ``certify_leg`` can
+replace the steps of a straight leg by its closed form: the agent then
+waits on the leg's center and ``move_agents`` snaps it there on the tick
+stepping would.
 """
 
 from __future__ import annotations
@@ -42,6 +46,22 @@ DEFAULT_SPEED = 5.0
 # _ARRIVAL_MARGIN is therefore not within reach.
 _ARRIVAL_MARGIN = 1e-6
 
+# A certified leg (``certify_leg``) is not stepped. From the leg's first
+# distance d, stepping snaps on the center after k = ceil((d - speed) /
+# speed) steps, the last of which ends rest = d - k*speed from it. Each step
+# rounds the subtraction from the center, hypot (under 1 ulp), the scale,
+# the product and the add once. With X a bound on every coordinate and
+# u = 2**-53, the step changes the exact distance by speed within about
+# 6u*speed + 1.5u*X, and speed is below the step's distance, at most 3X.
+# So after j steps the computed distance is d - j*speed within
+# (20j + 18)u*X, and rest's own rounding adds under 6u*X. Every arena that
+# ``run`` accepts (hex_disc_radius <= 300 at circumradius 10) has
+# X < 5200 < 2**13, so with k <= _MAX_LEG_STEPS = 2**15 the error stays
+# below (20 * 2**15 + 24) * 2**-40 < 6e-7 < _LEG_MARGIN. A leg of more
+# steps (a small speed) is stepped.
+_LEG_MARGIN = 1e-6
+_MAX_LEG_STEPS = 2**15
+
 
 class Mode(Enum):
     EXPLORING = "exploring"
@@ -68,7 +88,8 @@ class AgentState:
 
     ``target`` is the proposition the agent is travelling to investigate
     (None once the belief is fully certain); ``waypoint`` is the wander
-    destination used instead while saturated.
+    destination used instead while saturated. ``landing`` is the tick on
+    which a certified leg (``certify_leg``) lands, or -1.
     """
 
     id: int
@@ -79,6 +100,7 @@ class AgentState:
     target: int | None = None
     waypoint: int | None = None
     speed: float = DEFAULT_SPEED
+    landing: int = -1
 
     def log_line(self, tick: int) -> str:
         """One trace line: tick, id, x, y, mode, certainty, belief string."""
@@ -207,7 +229,48 @@ def at_target(agent: AgentState, grid: HexGrid) -> bool:
     return math.hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS
 
 
-def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generator) -> list[AgentState]:
+def certify_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], start: int) -> None:
+    """Skip the steps of the leg an agent starts, when nothing reads them.
+
+    The leg runs from the agent's position to the center of its waypoint
+    (saturated) or target, and its first step is taken on tick ``start``.
+    It is certified when its closed form is far enough from every threshold
+    (see ``_LEG_MARGIN``) that stepping would snap onto the center on tick
+    ``start + k`` and, for a target, arrive nowhere before. The agent is
+    then placed on the center with ``landing = start + k``, and
+    ``move_agents`` passes it over until that tick, where it snaps from
+    distance 0 with the same draws as a stepped leg. Otherwise the agent
+    is left as it was and steps. A saturated agent carries no target
+    (``on_arrival`` and ``on_fusion`` clear it), so its leg ends in no
+    arrival.
+
+    Only ``engine.run`` without a callback certifies legs: in between,
+    the agent's position is that of the center, not of the steps.
+    """
+    if agent.mode is SATURATED:
+        dest = agent.waypoint
+        low = _LEG_MARGIN
+    else:
+        dest = agent.target
+        # The last step ends rest from the target: no arrival before landing.
+        low = ARRIVAL_RADIUS + _LEG_MARGIN
+    cx, cy = centers[dest - 1]
+    speed = agent.speed
+    # The expression the leg's first step computes.
+    dist = math.hypot(cx - agent.x, cy - agent.y)
+    steps = (dist - speed) / speed
+    if steps < _MAX_LEG_STEPS:
+        k = math.ceil(steps)
+        rest = dist - k * speed
+        if low < rest < speed - _LEG_MARGIN:
+            agent.x = cx
+            agent.y = cy
+            agent.landing = start + k
+
+
+def move_agents(
+    agents: list[AgentState], grid: HexGrid, rng: np.random.Generator, now: int = 0, wander: bool = False
+) -> list[AgentState]:
     """Phases 1-2 of the tick: move every agent, then say who arrived.
 
     Agents are visited in list (id) order. Each one moves exactly as
@@ -217,12 +280,20 @@ def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generato
     arrived agents in list order; no arrival is handled here, so every
     movement draw of a tick comes before every arrival draw.
 
-    When the agent's target is the destination it moved toward, the
-    arrival test needs no ``hypot``: an agent that snapped onto the center
-    sits at distance 0, and one that stepped from farther than
+    ``now`` is the tick's index. An agent whose ``landing`` is later is on
+    a certified leg (``certify_leg``) and is passed over; on its landing
+    tick it sits on the center and snaps there like any other. With
+    ``wander``, each waypoint a saturated agent draws starts a leg that is
+    certified, whose first step is this tick for a first waypoint and the
+    next tick after a snap. With the defaults, and agents built with
+    ``landing = -1``, every agent steps.
+
+    An agent that is not saturated moves toward its target, so its
+    arrival test needs no ``hypot``: one that snapped onto the center sits
+    at distance 0, and one that stepped from farther than
     ``speed + ARRIVAL_RADIUS + _ARRIVAL_MARGIN`` is out of reach. Only the
-    band in between, and a target other than the destination (a saturated
-    agent that still carries one), take the exact ``at_target`` test.
+    band in between, and a saturated agent that still carries a target,
+    take the exact ``at_target`` test.
 
     Destinations are proposition indices the agents hold, always in
     1..n, so centers are read without ``center_of``'s range check.
@@ -235,44 +306,46 @@ def move_agents(agents: list[AgentState], grid: HexGrid, rng: np.random.Generato
     reach = ARRIVAL_RADIUS + _ARRIVAL_MARGIN
     arrived = []
     for agent in agents:
+        if agent.landing > now:
+            continue
         target = agent.target
         saturated = agent.mode is SATURATED
         if saturated:
             dest = agent.waypoint
             if dest is None:
                 dest = agent.waypoint = int(rng.integers(n)) + 1
+                if wander:
+                    certify_leg(agent, centers, now)
+                    if agent.landing > now:
+                        continue
         elif target is None:
             continue
         else:
             dest = target
         cx, cy = centers[dest - 1]
-        x = agent.x
-        y = agent.y
-        dx = cx - x
-        dy = cy - y
+        dx = cx - agent.x
+        dy = cy - agent.y
         dist = hypot(dx, dy)
         speed = agent.speed
         if dist <= speed:
-            x = cx
-            y = cy
+            agent.x = cx
+            agent.y = cy
             if saturated:
                 agent.waypoint = int(rng.integers(n)) + 1
-        else:
-            scale = speed / dist
-            x += dx * scale
-            y += dy * scale
-        agent.x = x
-        agent.y = y
-        if target is None:
-            continue
-        if target == dest:
-            if dist <= speed:  # snapped onto the center
+                if wander:
+                    certify_leg(agent, centers, now + 1)
+                    continue
+            else:  # snapped onto the target's center
                 arrived.append(agent)
                 continue
-            if dist > speed + reach:
-                continue
         else:
+            scale = speed / dist
+            agent.x += dx * scale
+            agent.y += dy * scale
+            if not saturated and dist > speed + reach:
+                continue
+        if target is not None:
             cx, cy = centers[target - 1]
-        if hypot(cx - x, cy - y) <= ARRIVAL_RADIUS:
-            arrived.append(agent)
+            if hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS:
+                arrived.append(agent)
     return arrived

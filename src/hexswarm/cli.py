@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,11 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def parse_and_validate(argv: list[str]) -> CliInvocation:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: building it
+    costs about a millisecond, and parsing leaves it unchanged (``append``
+    copies its default list before appending)."""
     parser = argparse.ArgumentParser(
         prog="hexswarm",
         description="Collective learning simulator over a hexagonal arena.",
@@ -95,7 +100,11 @@ def parse_and_validate(argv: list[str]) -> CliInvocation:
         )
         p.add_argument("--workers", type=int, default=1, metavar="N", help="parallel run workers")
         p.add_argument("--seed", type=int, default=None, metavar="N", help="override the seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def parse_and_validate(argv: list[str]) -> CliInvocation:
+    args = _parser().parse_args(argv)
     check("--workers", args.workers)
     return CliInvocation(
         subcommand=args.subcommand,

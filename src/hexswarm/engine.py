@@ -43,6 +43,17 @@ remaining tick so that the number of calls equals the terminal tick, and
 appends the remaining rows at once, all with the values of the idle state.
 Nothing in the ``RunRecord`` shows this. ``run`` never idles when given
 an ``on_tick`` callback, since a callback may observe positions.
+
+Without a callback, ``run`` also sets ``SimState.certify_legs``. Only
+broadcasters' positions are read (phases 3-4), so the straight leg of an
+exploring agent, and every leg of an asocial run, is certified where it
+starts (``agent.certify_leg``): the agent waits on the leg's center and
+phase 1 passes it over until the tick on which stepping would snap it
+there, when it lands, draws and arrives in its id-order place. A leg too
+close to a threshold for its closed form to be certain of that tick is
+stepped. The record and every draw are unchanged; only positions mid-leg
+are not kept. ``tick`` called directly, and ``run`` with a callback, step
+every agent on every tick.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import EXPLORING, SATURATED, AgentState, move_agents, on_arrival, on_fusion, select_target
+from .agent import EXPLORING, SATURATED, AgentState, certify_leg, move_agents, on_arrival, on_fusion, select_target
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
 from .errors import ConfigError, check, check_lattice, shown
@@ -181,6 +192,10 @@ class SimState:
     # also leaves both lists above empty; ``tick`` then only advances
     # ``tick_index``.
     idle: bool = False
+    # Set by ``run`` when no callback observes the state: the legs of
+    # exploring agents, and every leg of an asocial run, are then certified
+    # (``agent.certify_leg``) where they start, and not stepped.
+    certify_legs: bool = False
 
 
 @dataclass
@@ -285,6 +300,10 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
         belief_j = agents[j].belief
         on_fusion(agents[i], belief_j, rng)
         on_fusion(agents[j], belief_i, rng)
+        if state.certify_legs:
+            for agent in (agents[i], agents[j]):
+                if agent.mode is EXPLORING:
+                    certify_leg(agent, state.grid.centers, state.tick_index + 1)
         matched.add(i)
         matched.add(j)
         state.fusion_events += 1
@@ -296,7 +315,9 @@ def tick(state: SimState) -> SimState:
 
     An idle state (``SimState.idle``) only advances ``tick_index``: its
     ``last_arrivals`` and ``last_fusions`` were emptied when it went idle
-    and stay empty.
+    and stay empty. With ``SimState.certify_legs``, the new leg of an
+    agent that its arrival leaves exploring is certified, and so is every
+    waypoint leg of an asocial run.
     """
     if state.idle:
         state.tick_index += 1
@@ -304,10 +325,14 @@ def tick(state: SimState) -> SimState:
     cfg = state.config
     agents = state.agents
     rng = state.rng
+    now = state.tick_index
+    certify = state.certify_legs
     state.last_fusions = []
-    state.last_arrivals = move_agents(agents, state.grid, rng)
+    state.last_arrivals = move_agents(agents, state.grid, rng, now, certify and cfg.C_f == 0)
     for agent in state.last_arrivals:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
+        if certify and agent.mode is EXPLORING:
+            certify_leg(agent, state.grid.centers, now + 1)
 
     if cfg.C_f > 0:
         broadcasters = [a.id for a in agents if a.mode is not EXPLORING]
@@ -343,12 +368,18 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
     saturated but has not converged goes idle (see the module docstring):
     its remaining ticks only count up to ``max_ticks``, in a bare loop, and
     its remaining rows repeat one sample. The record is the same either
-    way; only the generator's use after that point differs.
+    way; only the generator's use after that point differs. Without
+    ``on_tick``, legs that nothing reads mid-way are also certified
+    (``SimState.certify_legs``), starting with every agent's first target.
     """
     state = initialize(config)
     trajectory = [_sample(state)]
     if on_tick is not None:
         on_tick(state, True)
+    else:
+        state.certify_legs = True
+        for agent in state.agents:
+            certify_leg(agent, state.grid.centers, 0)
     converged = False
     # Whether an arrival or a fusion happened since the last trajectory row.
     changed = False

@@ -1,5 +1,6 @@
 """The summary of tools/bench_pairs.py, which reports paired benchmark runs."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -103,7 +104,45 @@ def test_each_run_keeps_the_unscaled_and_provenance_blocks(monkeypatch, tmp_path
         return subprocess.CompletedProcess(argv, 0, stdout + "\n", "")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    result = bench_pairs.bench(tmp_path, "asocial", 9)
-    assert result == {**final, "unscaled": {"wall_s": 0.6}, "provenance": provenance}
+    tree_id = {"git_commit": "4567def" * 5 + "4567", "git_diff_sha256": "ab" * 32}
+    result = bench_pairs.bench(tmp_path, "asocial", 9, tree_id)
+    assert result == {**final, "unscaled": {"wall_s": 0.6}, "provenance": {**provenance, **tree_id}}
     assert calls == [([sys.executable, "perfbench/bench.py", "--workload", "asocial", "--seed", "9",
                        "--seconds", "14", "--trace", "0"], tmp_path)]
+
+
+def test_tree_ids_name_the_parent_commit_and_the_uncommitted_change(monkeypatch, tmp_path):
+    """The parent is named by its full commit id, the change by HEAD and a
+    sha256 of ``git diff HEAD --binary`` and of each untracked file, both
+    without the output file inside the tree; one outside is not named."""
+    (tmp_path / "new.py").write_bytes(b"x = 1\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a b.txt").write_bytes(b"two\n")
+    inside = ("--", ".", ":(exclude)BENCH_1.json")
+    outputs = {
+        ("git", "diff", "HEAD", "--binary", *inside): b"diff --git a/src/x.py b/src/x.py\n",
+        ("git", "ls-files", "--others", "--exclude-standard", "-z", *inside): "sub/a b.txt\0new.py\0",
+        ("git", "diff", "HEAD", "--binary", "--", "."): b"diff --git a/src/x.py b/src/x.py\n",
+        ("git", "ls-files", "--others", "--exclude-standard", "-z", "--", "."): "sub/a b.txt\0new.py\0",
+        ("git", "rev-parse", "abc123^{commit}"): "1" * 40 + "\n",
+        ("git", "rev-parse", "HEAD"): "2" * 40 + "\n",
+    }
+    calls = []
+
+    def fake_run(argv, cwd, capture_output, check, text=False):
+        calls.append(tuple(argv))
+        assert cwd == tmp_path and capture_output and check
+        out = outputs[tuple(argv)]
+        assert isinstance(out, str) == text
+        return subprocess.CompletedProcess(argv, 0, out, "" if text else b"")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    expected = hashlib.sha256(b"diff --git a/src/x.py b/src/x.py\n" + b"new.py\0x = 1\n" + b"sub/a b.txt\0two\n")
+    ids = {
+        "parent": {"git_commit": "1" * 40},
+        "change": {"git_commit": "2" * 40, "git_diff_sha256": expected.hexdigest()},
+    }
+    assert bench_pairs.tree_ids("abc123", tmp_path / "BENCH_1.json") == ids
+    assert bench_pairs.tree_ids("abc123", tmp_path.parent / "elsewhere.json") == ids
+    assert set(calls) == set(outputs)

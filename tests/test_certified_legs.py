@@ -1,0 +1,254 @@
+"""Certified legs (``agent.certify_leg``) against stepping them with the
+reference model's ``move``, tick by tick: the same arrival tick, the same
+snap onto the center and the same draws, or no certification at all."""
+
+import copy
+import math
+
+import numpy as np
+import pytest
+import reference_model
+
+from hexswarm import engine
+from hexswarm.agent import (
+    _LEG_MARGIN,
+    _MAX_LEG_STEPS,
+    AgentState,
+    Mode,
+    certify_leg,
+    move_agents,
+)
+from hexswarm.belief import Belief
+from hexswarm.engine import SimConfig
+from hexswarm.environment import ARRIVAL_RADIUS, HexCell, HexGrid, _axial_to_world, build_grid
+
+SPEEDS = (5.0, 3.7, 17.0)
+
+
+def explorers(legs, grid, speed):
+    """One exploring agent per (x, y, target) leg, with ids in list order."""
+    return [
+        AgentState(i, x, y, Belief.unknown(grid.n), target=target, speed=speed)
+        for i, (x, y, target) in enumerate(legs)
+    ]
+
+
+def arrivals(agents, move):
+    """Per agent id, the first tick t (from 0) on which ``move(moving, t)``
+    reports it arrived, and its position then; each agent moves until then."""
+    found, moving, t = {}, list(agents), 0
+    while moving:
+        for agent in move(moving, t):
+            found[agent.id] = (t, agent.x, agent.y)
+        moving = [a for a in moving if a.id not in found]
+        t += 1
+    return found
+
+
+def stepped(agents, grid):
+    """Arrivals of copies of ``agents`` stepped by the reference model."""
+    rng = np.random.default_rng(0)
+    return arrivals(copy.deepcopy(agents), lambda moving, t: reference_model.move(moving, grid, rng))
+
+
+def certified(agents, grid, start=0):
+    """Arrivals of copies of ``agents`` after ``certify_leg`` with the first
+    step on tick ``start``, moved by ``move_agents``; and the ids certified."""
+    agents = copy.deepcopy(agents)
+    for agent in agents:
+        certify_leg(agent, grid.centers, start)
+    rng = np.random.default_rng(0)
+    found = arrivals(agents, lambda moving, t: move_agents(moving, grid, rng, now=start + t))
+    for agent in agents:
+        if agent.landing >= 0:
+            # A certified agent lands on its landing tick, on the center.
+            assert found[agent.id] == (agent.landing - start, *grid.centers[agent.target - 1])
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    return found, {a.id for a in agents if a.landing >= 0}
+
+
+def assert_agrees(legs, grid, speed, start=0):
+    """Certified legs arrive as stepped ones do; returns the ids certified
+    and the stepped arrivals."""
+    agents = explorers(legs, grid, speed)
+    expected = stepped(agents, grid)
+    found, ids = certified(agents, grid, start)
+    assert found == expected
+    return ids, expected
+
+
+@pytest.mark.parametrize("speed", SPEEDS)
+def test_legs_from_centers_and_band_arrivals(speed):
+    grid = build_grid(6)
+    centers = grid.centers
+    starts = [(0.0, 0.0), *centers]
+    legs = [(x, y, dest) for x, y in starts for dest in range(1, grid.n + 1) if (x, y) != centers[dest - 1]]
+    ids, arrived = assert_agrees(legs, grid, speed)
+    # Most legs are certified; a leg that ends in the arrival band is not.
+    assert 0.4 < len(ids) / len(legs) < 0.9
+    on_center = set(centers)
+    band = sorted({(x, y) for t, x, y in arrived.values() if (x, y) not in on_center})
+    assert band
+    band_legs = [(x, y, dest) for x, y in band[:: max(1, len(band) // 40)] for dest in range(1, grid.n + 1)]
+    ids, _ = assert_agrees(band_legs, grid, speed, start=7)
+    assert ids
+
+
+def test_far_corners_of_the_largest_arena():
+    """The largest coordinates ``run`` accepts: corners of a radius-300 disc,
+    with the same centers as ``build_grid(300)`` gives them."""
+    corners = [(300, 0), (-300, 0), (0, 300), (0, -300), (300, -300), (-300, 300), (299, -150), (1, 0), (-2, 1)]
+    cells = [HexCell(i, q, r, *_axial_to_world(q, r, 10.0)) for i, (q, r) in enumerate(corners, start=1)]
+    grid = HexGrid(cells, HexCell(0, 0, 0, 0.0, 0.0), 10.0)
+    assert max(abs(v) for c in grid.centers for v in c) > 5000
+    legs = [(x, y, dest) for x, y in [(0.0, 0.0), *grid.centers] for dest in range(1, grid.n + 1)
+            if (x, y) != grid.centers[dest - 1]]
+    for speed in SPEEDS:
+        ids, _ = assert_agrees(legs, grid, speed)
+        assert ids
+
+
+def test_tiny_speed_certifies_only_legs_within_the_step_bound():
+    """A target leg at a speed of at most ARRIVAL_RADIUS ends in the arrival
+    band and is never certified. At speed 1e-3, a waypoint leg of 34.6 units
+    takes more than ``_MAX_LEG_STEPS`` steps and is stepped; the legs of 17.3
+    and 30 units are certified or not by the closed form, and a certified
+    one snaps on its landing tick when stepped."""
+    grid = build_grid(2)
+    speed = 1e-3
+    explorer = explorers([(0.0, 0.0, 1)], grid, speed)[0]
+    certify_leg(explorer, grid.centers, 0)
+    assert explorer.landing == -1
+    certain = Belief.from_string("1" * grid.n)
+    legs = [AgentState(i, 0.0, 0.0, certain, mode=Mode.SATURATED, waypoint=i + 1, speed=speed) for i in range(grid.n)]
+    agents = copy.deepcopy(legs)
+    for agent in agents:
+        certify_leg(agent, grid.centers, 0)
+    over = [(math.hypot(*grid.centers[a.waypoint - 1]) - speed) / speed >= _MAX_LEG_STEPS for a in agents]
+    assert sum(over) == 6
+    assert all(a.landing == -1 for a, o in zip(agents, over) if o)
+    landings = {a.id: a.landing for a in agents if a.landing >= 0}
+    assert landings
+    moving = [a for a in legs if a.id in landings]
+    rng, t = np.random.default_rng(0), 0
+    while moving:
+        reference_model.move(moving, grid, rng)
+        for agent in moving:
+            if agent.waypoint != agent.id + 1:
+                assert (t, agent.x, agent.y) == (landings[agent.id], *grid.centers[agent.id])
+        moving = [a for a in moving if a.waypoint == a.id + 1]
+        t += 1
+
+
+def test_exact_ties_are_not_certified():
+    grid = build_grid(6)
+    top = grid.centers.index((0.0, 30.0)) + 1  # cell (-1, 2), exactly 30 above the launch pad
+    ties = [
+        (0.0, 0.0, top),  # a center leg of 30 at speed 5: rest == speed
+        (0.0, 15.0, top),  # 15 at speed 5: rest == speed
+        (0.0, 19.0, top),  # 11 at speed 5: rest == ARRIVAL_RADIUS, a band arrival
+        (0.0, 19.0 - _LEG_MARGIN / 2, top),  # rest == ARRIVAL_RADIUS + _LEG_MARGIN / 2
+    ]
+    agents = explorers(ties, grid, 5.0)
+    for agent in agents:
+        certify_leg(agent, grid.centers, 0)
+    assert [a.landing for a in agents] == [-1] * len(ties)
+    assert [a.y for a in agents] == [y for _, y, _ in ties]
+    # The rest == ARRIVAL_RADIUS leg arrives in the band, off the center.
+    assert stepped(explorers(ties[2:3], grid, 5.0), grid)[0] == (1, 0.0, 30.0 - ARRIVAL_RADIUS)
+    # Past the margin the same leg is certified.
+    assert assert_agrees([(0.0, 19.0 - 2 * _LEG_MARGIN, top)], grid, 5.0)[0] == {0}
+    # Every center leg whose length is a multiple of the speed is a tie.
+    centers = [(0.0, 0.0), *grid.centers]
+    multiples = [(x, y, d) for x, y in centers for d in range(1, grid.n + 1)
+                 if round(math.hypot(x - grid.centers[d - 1][0], y - grid.centers[d - 1][1]), 9) in (30.0, 60.0, 90.0)]
+    assert len(multiples) > 100
+    agents = explorers(multiples, grid, 5.0)
+    for agent in agents:
+        certify_leg(agent, grid.centers, 0)
+    assert all(a.landing == -1 for a in agents)
+
+
+@pytest.mark.parametrize("speed", SPEEDS + (0.9,))
+def test_wandering_agents_draw_as_stepping_ones_do(speed):
+    """With ``wander``, every waypoint leg of a saturated agent is certified
+    where it is drawn: the waypoints, the draws and the position whenever an
+    agent is not on a certified leg match stepping, tick by tick."""
+    grid = build_grid(3)
+    certain = Belief.from_string("1" * grid.n)
+    agents = [
+        AgentState(i, *grid.centers[(7 * i) % grid.n], certain, mode=Mode.SATURATED,
+                   waypoint=None if i % 2 else 1 + (11 * i) % grid.n, speed=speed)
+        for i in range(12)
+    ]
+    expected = copy.deepcopy(agents)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    legs = set()
+    for t in range(300):
+        assert move_agents(agents, grid, rng, now=t, wander=True) == []
+        reference_model.move(expected, grid, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [a.waypoint for a in agents] == [a.waypoint for a in expected]
+        for a, b in zip(agents, expected):
+            if a.landing <= t:
+                assert (a.x, a.y) == (b.x, b.y)
+            legs.add((a.id, a.landing))
+    assert len(legs) > 20
+
+
+SOCIAL = [
+    SimConfig(m=8, hex_disc_radius=3, C_f=0.0, epsilon=0.1, max_ticks=1500, seed=2),
+    SimConfig(m=8, hex_disc_radius=3, C_f=0.3, epsilon=0.1, max_ticks=1500, seed=4, speed=3.7),
+    SimConfig(m=10, hex_disc_radius=3, C_f=1.0, epsilon=0.3, topology="lattice:2", max_ticks=1500, seed=6),
+    SimConfig(m=8, hex_disc_radius=2, C_f=0.05, C_r=100.0, speed=17.0, max_ticks=1500, seed=8),
+]
+
+
+@pytest.mark.parametrize("config", SOCIAL, ids=lambda c: f"C_f={c.C_f},speed={c.speed}")
+def test_observed_runs_keep_every_position(config):
+    """``run`` with a callback, and ``tick`` called directly, step every
+    agent on every tick, as the reference model does."""
+    expected = []
+    reference_model.run(config, lambda state, _: expected.append([(a.x, a.y) for a in state.agents]))
+    seen = []
+    engine.run(config, lambda state, _: seen.append([(a.x, a.y, a.landing) for a in state.agents]))
+    assert [[p[:2] for p in row] for row in seen] == expected
+    assert {p[2] for row in seen for p in row} == {-1}
+    state = engine.initialize(config)
+    ticked = [[(a.x, a.y) for a in state.agents]]
+    for _ in range(len(expected) - 1):
+        engine.tick(state)
+        ticked.append([(a.x, a.y) for a in state.agents])
+    assert ticked == expected
+
+
+@pytest.mark.parametrize("config", SOCIAL[1:], ids=lambda c: f"C_f={c.C_f},speed={c.speed}")
+def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
+    """Without a callback, broadcasters and saturated agents of a social run
+    step, and an agent that a fusion leaves exploring starts a leg that is
+    certified as ``certify_leg`` certifies it from where the fusion left it."""
+    fused = []
+
+    def on_fusion(agent, belief, rng):
+        engine_on_fusion(agent, belief, rng)
+        fused.append((agent, copy.deepcopy(agent)))
+
+    engine_on_fusion = engine.on_fusion
+    monkeypatch.setattr(engine, "on_fusion", on_fusion)
+    state = engine.initialize(config)
+    state.certify_legs = True
+    for agent in state.agents:
+        certify_leg(agent, state.grid.centers, 0)
+    restarted = 0
+    for _ in range(config.max_ticks):
+        now = state.tick_index
+        engine.tick(state)
+        assert all(a.landing <= now for a in state.agents if a.mode is not Mode.EXPLORING)
+        for agent, found in fused:
+            if found.mode is Mode.EXPLORING:
+                certify_leg(found, state.grid.centers, now + 1)
+                assert (agent.x, agent.y, agent.landing) == (found.x, found.y, found.landing)
+                restarted += found.landing > now
+        fused.clear()
+    assert restarted
+    assert engine.run(config).to_json() == reference_model.run(config).to_json()

@@ -51,6 +51,20 @@ class TestParsing:
         assert inv.workers == 3
         assert inv.seed == 8
 
+    def test_consecutive_calls_share_no_state(self, run_config, capsys):
+        """The parser is built once per process; one call's ``--set`` and
+        ``--seed`` must not reach the next."""
+        first = parse_and_validate(["run", "--set", "m=7", "--set", "C_f=0.5", "--seed", "3"])
+        second = parse_and_validate(["trace"])
+        assert (first.overrides, first.seed) == ([("m", 7), ("C_f", 0.5)], 3)
+        assert (second.subcommand, second.overrides, second.seed, second.out_dir) == ("trace", [], None, "out")
+        assert cli._parser() is cli._parser()
+        assert main(["validate", "--config", str(run_config), "--set", "m=9", "--seed", "4"]) == 0
+        assert main(["validate", "--config", str(run_config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("valid run config: m=9 ") and lines[0].endswith(" seed=4")
+        assert lines[1].startswith("valid run config: m=4 ") and lines[1].endswith(" seed=5")
+
     def test_string_override_values(self):
         inv = parse_and_validate(["run", "--set", "topology=lattice:4"])
         assert inv.overrides == [("topology", "lattice:4")]

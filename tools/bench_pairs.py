@@ -13,8 +13,13 @@ change is this checkout's working tree. Each run's final JSON line is
 merged into the output file under ``"W --seed S"``, next to the entries of
 other workloads already there, together with the ``unscaled`` block of the
 line before it (the raw, uncalibrated wall and setup times) and its
-``provenance`` block (versions, config hash and the git commit of the tree
-that ran, "unknown" for the extracted parent). The median,
+``provenance`` block (versions and config hash). In that block
+``git_commit`` names the tree that ran: the parent's full commit id, or
+for the change this checkout's HEAD, with ``git_diff_sha256``, a sha256 of
+``git diff HEAD --binary`` followed by each untracked file's path and
+contents, leaving out the output file. (``bench.py`` itself reads
+"unknown" in the extracted parent and HEAD in the checkout, whatever is
+uncommitted.) The median,
 quartiles and wins of every end-to-end metric are printed, and for wall_s
 and setup_s also each side's unscaled median. The script refuses to merge
 into a file that holds runs against another parent or from another host.
@@ -26,6 +31,7 @@ that can run the benchmark.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -134,9 +140,28 @@ def extract(ref: str, into: Path) -> None:
             tar.extractall(into, filter="data")
 
 
-def bench(tree: Path, workload: str, seed: int) -> dict:
+def tree_ids(parent_ref: str, out: Path) -> dict[str, dict]:
+    """Per side, the ``provenance`` entries that name the tree it runs: the
+    parent's full commit id, and this checkout's HEAD with a sha256 of its
+    uncommitted changes, tracked and untracked. The output file ``out`` is
+    left out, so every workload merged into it records the same digest."""
+    spec = ["--", "."]
+    if out.resolve().is_relative_to(ROOT):
+        spec.append(f":(exclude){out.resolve().relative_to(ROOT).as_posix()}")
+    digest = hashlib.sha256(subprocess.run(["git", "diff", "HEAD", "--binary", *spec], cwd=ROOT,
+                                           capture_output=True, check=True).stdout)
+    for path in sorted(filter(None, git("ls-files", "--others", "--exclude-standard", "-z", *spec).split("\0"))):
+        digest.update(path.encode() + b"\0" + (ROOT / path).read_bytes())
+    return {
+        "parent": {"git_commit": git("rev-parse", f"{parent_ref}^{{commit}}")},
+        "change": {"git_commit": git("rev-parse", "HEAD"), "git_diff_sha256": digest.hexdigest()},
+    }
+
+
+def bench(tree: Path, workload: str, seed: int, tree_id: dict) -> dict:
     """One benchmark run in ``tree``; returns its final JSON line with the
-    ``unscaled`` and ``provenance`` blocks of the line before it added."""
+    ``unscaled`` and ``provenance`` blocks of the line before it added, the
+    latter updated with ``tree_id`` (see ``tree_ids``)."""
     argv = [sys.executable, "perfbench/bench.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -147,7 +172,7 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
     if len(lines) >= 2:
         before = json.loads(lines[-2])
         result["unscaled"] = before.get("unscaled", {})
-        result["provenance"] = before.get("provenance", {})
+        result["provenance"] = {**before.get("provenance", {}), **tree_id}
     if not result["correct"] or result["failed"]:
         print(f"warning: a run in {tree} reported correct={result['correct']}, failed={result['failed']}",
               file=sys.stderr)
@@ -182,13 +207,14 @@ def main(argv: list[str] | None = None) -> int:
     # removed and subprocess.run kills the benchmark it is waiting on.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    ids = tree_ids(parent_rev, args.out)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         extract(parent_rev, trees["parent"])
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                runs[side].append(bench(trees[side], args.workload, args.seed))
+                runs[side].append(bench(trees[side], args.workload, args.seed, ids[side]))
             print(f"pair {pair}/{args.pairs}: wall_s parent {runs['parent'][-1]['metrics']['wall_s']['value']:.3f}"
                   f" change {runs['change'][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
 
