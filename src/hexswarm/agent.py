@@ -13,10 +13,12 @@ The tick moves the population with ``move_agents``, one pass that advances
 every agent and detects arrivals exactly as ``advance_position`` and
 ``at_target`` do per agent; the reference model in
 ``tests/reference_model.py`` moves with those, and the tests compare the two.
-When nothing observes an agent's position mid-leg, ``certify_leg`` can
-replace the steps of a straight leg by its closed form: the agent then
+When nothing observes an agent's position on every tick, ``certify_leg``
+can replace the steps of a straight leg by its closed form: the agent then
 waits on the leg's center and ``move_agents`` snaps it there on the tick
-stepping would.
+stepping would. ``replay_leg`` gives, bit for bit, the position stepping
+would have reached mid-leg, for an observer that reads positions only now
+and then.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ class AgentState:
     ``target`` is the proposition the agent is travelling to investigate
     (None once the belief is fully certain); ``waypoint`` is the wander
     destination used instead while saturated. ``landing`` is the tick on
-    which a certified leg (``certify_leg``) lands, or -1.
+    which a certified leg (``certify_leg``) lands, or -1; ``origin`` and
+    ``departure`` are where that leg starts and the tick of its first step,
+    which ``replay_leg`` steps from.
     """
 
     id: int
@@ -101,6 +105,8 @@ class AgentState:
     waypoint: int | None = None
     speed: float = DEFAULT_SPEED
     landing: int = -1
+    origin: tuple[float, float] = (0.0, 0.0)
+    departure: int = -1
 
     def log_line(self, tick: int) -> str:
         """One trace line: tick, id, x, y, mode, certainty, belief string."""
@@ -240,12 +246,12 @@ def certify_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], sta
     then placed on the center with ``landing = start + k``, and
     ``move_agents`` passes it over until that tick, where it snaps from
     distance 0 with the same draws as a stepped leg. Otherwise the agent
-    is left as it was and steps. A saturated agent carries no target
-    (``on_arrival`` and ``on_fusion`` clear it), so its leg ends in no
-    arrival.
+    is left as it was and steps. A certified agent also keeps its position
+    as the leg's ``origin`` and ``start`` as its ``departure``, from which
+    ``replay_leg`` steps.
 
-    Only ``engine.run`` without a callback certifies legs: in between,
-    the agent's position is that of the center, not of the steps.
+    Only ``engine.run`` without ``on_tick`` certifies legs: in between, the
+    agent's position is that of the center, not of the steps.
     """
     if agent.mode is SATURATED:
         dest = agent.waypoint
@@ -263,9 +269,35 @@ def certify_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], sta
         k = math.ceil(steps)
         rest = dist - k * speed
         if low < rest < speed - _LEG_MARGIN:
+            agent.origin = (agent.x, agent.y)
+            agent.departure = start
             agent.x = cx
             agent.y = cy
             agent.landing = start + k
+
+
+def replay_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], now: int) -> None:
+    """Move an agent waiting on a certified leg to where stepping would have
+    it when tick ``now`` starts: ``now - departure`` steps from ``origin``.
+
+    Each step is ``move_agents``' own, expression for expression, so the
+    position is the stepped one bit for bit. Certification guarantees that
+    every step before the landing tick is a partial one, so none snaps.
+    The caller puts the agent back on its center (its waiting position)
+    before the run goes on.
+    """
+    cx, cy = centers[(agent.waypoint if agent.mode is SATURATED else agent.target) - 1]
+    x, y = agent.origin
+    speed = agent.speed
+    for _ in range(now - agent.departure):
+        dx = cx - x
+        dy = cy - y
+        dist = math.hypot(dx, dy)
+        scale = speed / dist
+        x += dx * scale
+        y += dy * scale
+    agent.x = x
+    agent.y = y
 
 
 def move_agents(
@@ -288,12 +320,12 @@ def move_agents(
     next tick after a snap. With the defaults, and agents built with
     ``landing = -1``, every agent steps.
 
-    An agent that is not saturated moves toward its target, so its
-    arrival test needs no ``hypot``: one that snapped onto the center sits
-    at distance 0, and one that stepped from farther than
+    A saturated agent carries no target (``on_arrival`` and ``on_fusion``
+    clear it), so it never arrives. Any other agent moves toward its
+    target, so its arrival test needs no ``hypot``: one that snapped onto
+    the center sits at distance 0, and one that stepped from farther than
     ``speed + ARRIVAL_RADIUS + _ARRIVAL_MARGIN`` is out of reach. Only the
-    band in between, and a saturated agent that still carries a target,
-    take the exact ``at_target`` test.
+    band in between takes the exact ``at_target`` test.
 
     Destinations are proposition indices the agents hold, always in
     1..n, so centers are read without ``center_of``'s range check.
@@ -308,7 +340,6 @@ def move_agents(
     for agent in agents:
         if agent.landing > now:
             continue
-        target = agent.target
         saturated = agent.mode is SATURATED
         if saturated:
             dest = agent.waypoint
@@ -318,10 +349,10 @@ def move_agents(
                     certify_leg(agent, centers, now)
                     if agent.landing > now:
                         continue
-        elif target is None:
-            continue
         else:
-            dest = target
+            dest = agent.target
+            if dest is None:
+                continue
         cx, cy = centers[dest - 1]
         dx = cx - agent.x
         dy = cy - agent.y
@@ -334,18 +365,14 @@ def move_agents(
                 agent.waypoint = int(rng.integers(n)) + 1
                 if wander:
                     certify_leg(agent, centers, now + 1)
-                    continue
             else:  # snapped onto the target's center
                 arrived.append(agent)
-                continue
         else:
             scale = speed / dist
             agent.x += dx * scale
             agent.y += dy * scale
-            if not saturated and dist > speed + reach:
+            if saturated or dist > speed + reach:
                 continue
-        if target is not None:
-            cx, cy = centers[target - 1]
             if hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS:
                 arrived.append(agent)
     return arrived

@@ -198,7 +198,6 @@ def execute(invocation: CliInvocation) -> int:
     if invocation.subcommand in ("run", "trace"):
         config = _build_run_config(data, invocation.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
-        every_tick = invocation.subcommand == "trace"
         # The log is streamed to a temporary file, so memory stays flat however
         # many ticks are traced, and is renamed onto trace.log only once the
         # run and its record are written.
@@ -206,12 +205,16 @@ def execute(invocation: CliInvocation) -> int:
         try:
             with partial.open("w") as log:
 
-                def log_agents(state, sampled):
-                    if every_tick or sampled:
-                        t = state.tick_index
-                        log.writelines(f"{a.log_line(t)}\n" for a in state.agents)
+                def log_agents(state, *_):
+                    t = state.tick_index
+                    log.writelines(f"{a.log_line(t)}\n" for a in state.agents)
 
-                record = run(config, on_tick=log_agents)
+                # trace logs every tick; run logs the rows only, which lets
+                # the engine keep its certified legs.
+                if invocation.subcommand == "trace":
+                    record = run(config, on_tick=log_agents)
+                else:
+                    record = run(config, on_row=log_agents)
             (out_dir / "run_record.json").write_text(record.to_json() + "\n")
             os.replace(partial, out_dir / "trace.log")
         finally:

@@ -42,9 +42,10 @@ from. ``run`` then leaves its per-tick loop, calls ``tick`` once per
 remaining tick so that the number of calls equals the terminal tick, and
 appends the remaining rows at once, all with the values of the idle state.
 Nothing in the ``RunRecord`` shows this. ``run`` never idles when given
-an ``on_tick`` callback, since a callback may observe positions.
+an observer (``on_tick`` or ``on_row``), since an observer may read the
+positions of wandering agents.
 
-Without a callback, ``run`` also sets ``SimState.certify_legs``. Only
+Without ``on_tick``, ``run`` also sets ``SimState.certify_legs``. Only
 broadcasters' positions are read (phases 3-4), so the straight leg of an
 exploring agent, and every leg of an asocial run, is certified where it
 starts (``agent.certify_leg``): the agent waits on the leg's center and
@@ -52,8 +53,11 @@ phase 1 passes it over until the tick on which stepping would snap it
 there, when it lands, draws and arrives in its id-order place. A leg too
 close to a threshold for its closed form to be certain of that tick is
 stepped. The record and every draw are unchanged; only positions mid-leg
-are not kept. ``tick`` called directly, and ``run`` with a callback, step
-every agent on every tick.
+are not kept. Before each ``on_row`` call, ``run`` replays the steps of
+every agent still waiting (``agent.replay_leg``), so the observer sees
+exactly the positions stepping would have; afterwards it puts each one
+back on its center. ``tick`` called directly, and ``run`` with
+``on_tick``, step every agent on every tick.
 """
 
 from __future__ import annotations
@@ -64,7 +68,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agent import EXPLORING, SATURATED, AgentState, certify_leg, move_agents, on_arrival, on_fusion, select_target
+from .agent import (
+    EXPLORING,
+    SATURATED,
+    AgentState,
+    certify_leg,
+    move_agents,
+    on_arrival,
+    on_fusion,
+    replay_leg,
+    select_target,
+)
 from .belief import Belief, GroundTruth, belief_error
 from .environment import HexGrid, NoiseModel, build_grid, sample_ground_truth
 from .errors import ConfigError, check, check_lattice, shown
@@ -192,7 +206,7 @@ class SimState:
     # also leaves both lists above empty; ``tick`` then only advances
     # ``tick_index``.
     idle: bool = False
-    # Set by ``run`` when no callback observes the state: the legs of
+    # Set by ``run`` when no ``on_tick`` observes every tick: the legs of
     # exploring agents, and every leg of an asocial run, are then certified
     # (``agent.certify_leg``) where they start, and not stepped.
     certify_legs: bool = False
@@ -355,31 +369,57 @@ def _sample(state: SimState) -> TrajectoryPoint:
     )
 
 
-def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = None) -> RunRecord:
+def _observe_row(state: SimState, on_row: Callable[[SimState], None]) -> None:
+    """Call ``on_row(state)`` with every agent that waits on a certified leg
+    (``landing >= tick_index``: it has not snapped yet) where stepping would
+    have it, then put each one back where it waited."""
+    now = state.tick_index
+    centers = state.grid.centers
+    waiting = [(a, a.x, a.y) for a in state.agents if a.landing >= now]
+    for agent, _, _ in waiting:
+        replay_leg(agent, centers, now)
+    on_row(state)
+    for agent, x, y in waiting:
+        agent.x = x
+        agent.y = y
+
+
+def run(
+    config: SimConfig,
+    on_tick: Callable[[SimState, bool], None] | None = None,
+    on_row: Callable[[SimState], None] | None = None,
+) -> RunRecord:
     """Run to unanimous consensus or the tick cap, sampling metrics on the way.
 
     ``on_tick(state, sampled)``, when given, is called once after
     ``initialize`` and once after every tick. ``sampled`` is True exactly
     when that tick is a trajectory row: tick 0, every ``sample_every``-th
-    tick and the terminal tick. It observes the state and must not change
-    it; the CLI uses it to write agent trace lines.
+    tick and the terminal tick. ``on_row(state)``, when given, is called
+    only on those: after ``initialize`` and after every row tick. Either
+    observes the state and must not change it; ``hexswarm trace`` uses
+    ``on_tick`` and ``hexswarm run`` ``on_row`` to write agent trace lines.
 
-    Without ``on_tick``, an asocial run (``C_f == 0``) that has every agent
+    Without an observer, an asocial run (``C_f == 0``) that has every agent
     saturated but has not converged goes idle (see the module docstring):
     its remaining ticks only count up to ``max_ticks``, in a bare loop, and
     its remaining rows repeat one sample. The record is the same either
     way; only the generator's use after that point differs. Without
-    ``on_tick``, legs that nothing reads mid-way are also certified
-    (``SimState.certify_legs``), starting with every agent's first target.
+    ``on_tick``, legs are also certified (``SimState.certify_legs``),
+    starting with every agent's first target; ``on_row`` sees each waiting
+    agent replayed to its stepped position, so it sees what it would see
+    with every agent stepped.
     """
     state = initialize(config)
     trajectory = [_sample(state)]
+    if on_row is not None:
+        on_row(state)  # before any leg is certified
     if on_tick is not None:
         on_tick(state, True)
     else:
         state.certify_legs = True
         for agent in state.agents:
             certify_leg(agent, state.grid.centers, 0)
+    observed = on_tick is not None or on_row is not None
     converged = False
     # Whether an arrival or a fusion happened since the last trajectory row.
     changed = False
@@ -400,7 +440,7 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
             # again, so nothing changes before max_ticks. The fusion list is
             # empty (C_f == 0); emptying the arrival list here leaves the idle
             # ticks nothing to reset.
-            if saturated and not converged and config.C_f == 0 and on_tick is None:
+            if saturated and not converged and config.C_f == 0 and not observed:
                 state.idle = True
                 state.last_arrivals = []
                 break
@@ -411,6 +451,8 @@ def run(config: SimConfig, on_tick: Callable[[SimState, bool], None] | None = No
             # row the values repeat.
             trajectory.append(_sample(state) if changed else trajectory[-1]._replace(tick=t))
             changed = False
+            if on_row is not None:
+                _observe_row(state, on_row)
         if on_tick is not None:
             on_tick(state, sampled)
         if converged:

@@ -171,6 +171,32 @@ class TestOnFusion:
         assert agent.belief.certainty() == before
 
 
+class TestTargetInvariant:
+    """An agent is saturated exactly when it carries no target, after every
+    ``on_arrival`` and ``on_fusion``, whatever mode it had: ``move_agents``
+    never tests a saturated agent for an arrival."""
+
+    beliefs = st.lists(st.integers(0, 2), min_size=1, max_size=10).map(Belief)
+
+    @given(belief=beliefs, mode=st.sampled_from([Mode.EXPLORING, Mode.BROADCASTING]), data=st.data(),
+           epsilon=st.sampled_from([0.0, 0.3, 0.5]), comm_freq=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_after_arrival(self, belief, mode, data, epsilon, comm_freq, seed):
+        target = data.draw(st.integers(1, belief.n))
+        truth = GroundTruth.from_bools(data.draw(st.lists(st.booleans(), min_size=belief.n, max_size=belief.n)))
+        agent = make_agent(belief, mode=mode, target=target)
+        on_arrival(agent, truth, NoiseModel(epsilon), comm_freq, np.random.default_rng(seed))
+        assert (agent.mode is Mode.SATURATED) == (agent.target is None)
+
+    @given(belief=beliefs, mode=st.sampled_from(list(Mode)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_after_fusion(self, belief, mode, data, seed):
+        partner = Belief(data.draw(st.lists(st.integers(0, 2), min_size=belief.n, max_size=belief.n)))
+        target = None if mode is Mode.SATURATED else data.draw(st.none() | st.integers(1, belief.n))
+        agent = make_agent(belief, mode=mode, target=target)
+        on_fusion(agent, partner, np.random.default_rng(seed))
+        assert (agent.mode is Mode.SATURATED) == (agent.target is None)
+
+
 class TestAdvancePosition:
     def test_lands_exactly_when_close(self):
         grid = build_grid(2)
@@ -225,14 +251,15 @@ def populations(draw):
     comparisons are closest: on cell centers, ARRIVAL_RADIUS (or one step
     plus ARRIVAL_RADIUS, or that plus or minus twice move_agents' rounding
     margin) short of their destination, and with speeds equal to the
-    distance to it."""
+    distance to it. A saturated agent carries no target, as
+    ``TestTargetInvariant`` checks of every mode change."""
     grid = build_grid(draw(st.integers(1, 3)))
     n = grid.n
     cells = st.integers(1, n)
     agents = []
     for i in range(draw(st.integers(1, 12))):
         mode = draw(st.sampled_from(list(Mode)))
-        target = draw(st.none() | cells)
+        target = None if mode is Mode.SATURATED else draw(st.none() | cells)
         waypoint = draw(st.none() | cells)
         dest = waypoint if mode is Mode.SATURATED else target
         speed = draw(st.sampled_from([0.5, 1.0, 5.0, 17.0]) | st.floats(0.1, 40))

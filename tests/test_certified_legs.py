@@ -1,8 +1,11 @@
 """Certified legs (``agent.certify_leg``) against stepping them with the
 reference model's ``move``, tick by tick: the same arrival tick, the same
-snap onto the center and the same draws, or no certification at all."""
+snap onto the center and the same draws, or no certification at all. And
+their replay (``agent.replay_leg``) against stepping: the same position,
+bit for bit, on every tick mid-leg."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +18,10 @@ from hexswarm.agent import (
     _MAX_LEG_STEPS,
     AgentState,
     Mode,
+    advance_position,
     certify_leg,
     move_agents,
+    replay_leg,
 )
 from hexswarm.belief import Belief
 from hexswarm.engine import SimConfig
@@ -252,3 +257,115 @@ def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
         fused.clear()
     assert restarted
     assert engine.run(config).to_json() == reference_model.run(config).to_json()
+
+
+def replays_as_stepped(agent, grid, start, ticks=None):
+    """Certify ``agent`` with its first step on tick ``start`` and check that
+    ``replay_leg`` puts it, on each of the ``ticks`` from ``start`` (zero
+    steps) to its landing tick (all its steps before the snap), where
+    stepping a copy that many times does. Returns whether it was certified."""
+    stepping = copy.deepcopy(agent)
+    certify_leg(agent, grid.centers, start)
+    if agent.landing < 0:
+        return False
+    assert agent.origin == (stepping.x, stepping.y) and agent.departure == start
+    center = (agent.x, agent.y)
+    rng = np.random.default_rng(0)
+    wanted = range(start, agent.landing + 1) if ticks is None else sorted(start + j for j in ticks)
+    now = start
+    for t in wanted:
+        for _ in range(t - now):
+            advance_position(stepping, grid, rng)
+        now = t
+        replay_leg(agent, grid.centers, t)
+        assert (agent.x, agent.y) == (stepping.x, stepping.y), t
+        assert (agent.x, agent.y) != center
+    # One more step snaps onto the center, on the landing tick.
+    advance_position(stepping, grid, rng)
+    assert (now == agent.landing) == ((stepping.x, stepping.y) == center)
+    return True
+
+
+@pytest.mark.parametrize("speed", SPEEDS)
+def test_replay_matches_stepping_on_every_tick_mid_leg(speed):
+    """Target legs and wander legs from the launch pad, every center and
+    points off the centers, to every center of a radius-3 grid."""
+    grid = build_grid(3)
+    starts = [(0.0, 0.0), *grid.centers, *[(x + 1.3, y - 0.7) for x, y in grid.centers[::3]]]
+    certain = Belief.from_string("1" * grid.n)
+    certified = {Mode.EXPLORING: 0, Mode.SATURATED: 0}
+    for x, y in starts:
+        for dest in range(1, grid.n + 1):
+            if (x, y) == grid.centers[dest - 1]:
+                continue
+            explorer = AgentState(0, x, y, Belief.unknown(grid.n), target=dest, speed=speed)
+            wanderer = AgentState(1, x, y, certain, mode=Mode.SATURATED, waypoint=dest, speed=speed)
+            for agent in (explorer, wanderer):
+                certified[agent.mode] += replays_as_stepped(agent, grid, start=11)
+    assert min(certified.values()) > 100
+
+
+def test_replay_at_a_tiny_speed():
+    """At speed 1e-3 only wander legs certify, of up to 2**15 steps; the
+    replay is checked at zero steps, a few steps and up to the landing."""
+    grid = build_grid(2)
+    certain = Belief.from_string("1" * grid.n)
+    done = 0
+    for dest in range(1, grid.n + 1):
+        agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, waypoint=dest, speed=1e-3)
+        probe = copy.deepcopy(agent)
+        certify_leg(probe, grid.centers, 3)
+        if probe.landing < 0:
+            continue
+        k = probe.landing - 3
+        done += replays_as_stepped(agent, grid, start=3, ticks={0, 1, 2, 777, k // 2, k - 1, k})
+    assert done >= 6
+
+
+ROWS = SOCIAL + [dataclasses.replace(c, sample_every=7, max_ticks=700) for c in SOCIAL]
+
+
+@pytest.mark.parametrize("config", ROWS, ids=lambda c: f"C_f={c.C_f},speed={c.speed},every={c.sample_every}")
+def test_rows_show_stepped_positions(config, monkeypatch):
+    """``run(config, on_row=f)`` shows on every row the positions the
+    reference model has on that row, although certified agents wait on
+    their centers; after each call every agent's position and landing are
+    back as the last tick left them. The record equals ``run(config)``'s,
+    and the generator ends in the model's state: an asocial run with an
+    observer does not idle."""
+    expected, model = [], []
+
+    def on_tick(state, sampled):
+        model[:] = [state]
+        if sampled:
+            expected.append([(a.x, a.y) for a in state.agents])
+
+    reference_model.run(config, on_tick)
+
+    def snapshot(state):
+        return [(a.x, a.y, a.landing) for a in state.agents]
+
+    left, seen, replayed, states = [], [], [], []
+
+    def checked_tick(state):
+        if left:
+            assert snapshot(state) == left[-1]
+        tick(state)
+        left[:] = [snapshot(state)]
+
+    def on_row(state):
+        seen.append([(a.x, a.y) for a in state.agents])
+        replayed.append(bool(left) and [p[:2] for p in left[-1]] != seen[-1])
+        assert all((a.mode is Mode.SATURATED) == (a.target is None) for a in state.agents)
+        states[:] = [state]
+
+    tick = engine.tick
+    monkeypatch.setattr(engine, "tick", checked_tick)
+    record = engine.run(config, on_row=on_row)
+    assert seen == expected
+    assert snapshot(states[0]) == left[-1]
+    if config.sample_every == 7:
+        assert any(replayed)  # so frequent rows find some agent mid-leg
+    assert states[0].rng.bit_generator.state == model[0].rng.bit_generator.state
+    monkeypatch.undo()
+    assert record.to_json() == engine.run(config).to_json()

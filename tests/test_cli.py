@@ -3,8 +3,11 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -324,8 +327,12 @@ class TestTraceLogStreaming:
 
     @pytest.mark.parametrize("subcommand", ["run", "trace"])
     def test_failed_run_leaves_no_log(self, subcommand, run_config, tmp_path, monkeypatch):
-        def failing_run(config, on_tick):
-            on_tick(initialize(config), True)
+        def failing_run(config, on_tick=None, on_row=None):
+            # run passes on_row and trace on_tick; either writes a first row.
+            if on_tick is not None:
+                on_tick(initialize(config), True)
+            else:
+                on_row(initialize(config))
             raise RuntimeError("run failed")
 
         monkeypatch.setattr(cli, "run", failing_run)
@@ -412,6 +419,27 @@ class TestSweepSubcommand:
         main(["sweep", "--config", str(sweep_config), "--out", str(out2)])
         for name in ("sweep_results.csv", "cell_summary.csv", "trajectories.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestModuleEntry:
+    """``python -m hexswarm`` is the ``hexswarm`` command."""
+
+    root = Path(__file__).resolve().parent.parent
+
+    def hexswarm(self, *args):
+        path = os.pathsep.join(filter(None, [str(self.root / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "hexswarm", *args], cwd=self.root, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+    def test_validate_exits_0(self):
+        proc = self.hexswarm("validate", "--config", "configs/base.json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("valid run config")
+
+    def test_bad_override_exits_2(self):
+        proc = self.hexswarm("validate", "--config", "configs/base.json", "--set", "epsilon=0.9")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: epsilon out of range")
 
 
 class TestPresets:
