@@ -13,12 +13,9 @@ The tick moves the population with ``move_agents``, one pass that advances
 every agent and detects arrivals exactly as ``advance_position`` and
 ``at_target`` do per agent; the reference model in
 ``tests/reference_model.py`` moves with those, and the tests compare the two.
-When nothing observes an agent's position on every tick, ``certify_leg``
-can replace the steps of a straight leg by its closed form: the agent then
-waits on the leg's center and ``move_agents`` snaps it there on the tick
-stepping would. ``replay_leg`` gives, bit for bit, the position stepping
-would have reached mid-leg, for an observer that reads positions only now
-and then.
+``certify_leg`` replaces the steps of a straight leg by its closed form
+(the policy is in the ``engine`` module docstring), and ``replay_leg``
+gives, bit for bit, the position stepping would have reached mid-leg.
 """
 
 from __future__ import annotations
@@ -39,28 +36,20 @@ from .environment import ARRIVAL_RADIUS, HexGrid, NoiseModel, observe
 
 DEFAULT_SPEED = 5.0
 
-# A stepping agent's computed distance to the center it heads for differs
-# from the exact dist - speed by a few ulps of the coordinates and of dist.
-# Positions stay inside the arena, whose coordinates are below two
-# circumradii (20 units by default) per ring, so 1e-6 covers every arena of
-# up to a million rings (3e12 cells), far more than fits in memory. An
-# agent that stepped from farther than speed + ARRIVAL_RADIUS +
-# _ARRIVAL_MARGIN is therefore not within reach.
-_ARRIVAL_MARGIN = 1e-6
-
-# A certified leg (``certify_leg``) is not stepped. From the leg's first
-# distance d, stepping snaps on the center after k = ceil((d - speed) /
-# speed) steps, the last of which ends rest = d - k*speed from it. Each step
-# rounds the subtraction from the center, hypot (under 1 ulp), the scale,
-# the product and the add once. With X a bound on every coordinate and
-# u = 2**-53, the step changes the exact distance by speed within about
-# 6u*speed + 1.5u*X, and speed is below the step's distance, at most 3X.
-# So after j steps the computed distance is d - j*speed within
-# (20j + 18)u*X, and rest's own rounding adds under 6u*X. Every arena that
-# ``run`` accepts (hex_disc_radius <= 300 at circumradius 10) has
-# X < 5200 < 2**13, so with k <= _MAX_LEG_STEPS = 2**15 the error stays
-# below (20 * 2**15 + 24) * 2**-40 < 6e-7 < _LEG_MARGIN. A leg of more
-# steps (a small speed) is stepped.
+# The one rounding margin of a straight leg's closed form. From the leg's
+# first computed distance d, stepping snaps on the center after k =
+# ceil((d - speed) / speed) steps, the last of which ends rest = d - k*speed
+# from it. Each step rounds the subtraction from the center, hypot (under 1
+# ulp), the scale, the product and the add once. With X a bound on every
+# coordinate and u = 2**-53, the step changes the exact distance by speed
+# within about 6u*speed + 1.5u*X, and speed is below the step's distance, at
+# most 3X. So after j steps the computed distance is d - j*speed within
+# (20j + 18)u*X, and rest's own rounding adds under 6u*X. The arena cap of
+# ``errors.RULES`` (hex_disc_radius <= 300, at the default circumradius 10)
+# gives X < 5200 < 2**13, so for every j <= _MAX_LEG_STEPS = 2**15 the error
+# stays below (20 * 2**15 + 24) * 2**-40 < 6e-7 < _LEG_MARGIN. It bounds
+# ``certify_leg``'s k steps, and ``move_agents``' arrival band (j = 1). A
+# leg of more steps (a small speed) is stepped.
 _LEG_MARGIN = 1e-6
 _MAX_LEG_STEPS = 2**15
 
@@ -69,6 +58,10 @@ class Mode(Enum):
     EXPLORING = "exploring"
     BROADCASTING = "broadcasting"
     SATURATED = "saturated"
+
+    # Members are singletons: an identity hash is exact and runs in C, where
+    # Enum's own is Python code, 150 ns more per test against a set of modes.
+    __hash__ = object.__hash__
 
 
 # Per-tick code reads these module constants: a global read is several
@@ -235,26 +228,31 @@ def at_target(agent: AgentState, grid: HexGrid) -> bool:
     return math.hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS
 
 
-def certify_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], start: int) -> None:
-    """Skip the steps of the leg an agent starts, when nothing reads them.
+def certify_leg(
+    agent: AgentState, centers: tuple[tuple[float, float], ...], start: int, certified: frozenset[Mode]
+) -> None:
+    """Every place a leg starts calls this: skip the leg's steps if the
+    agent's mode is in ``certified`` (see the ``engine`` module docstring).
 
     The leg runs from the agent's position to the center of its waypoint
-    (saturated) or target, and its first step is taken on tick ``start``.
-    It is certified when its closed form is far enough from every threshold
-    (see ``_LEG_MARGIN``) that stepping would snap onto the center on tick
-    ``start + k`` and, for a target, arrive nowhere before. The agent is
-    then placed on the center with ``landing = start + k``, and
-    ``move_agents`` passes it over until that tick, where it snaps from
-    distance 0 with the same draws as a stepped leg. Otherwise the agent
-    is left as it was and steps. A certified agent also keeps its position
-    as the leg's ``origin`` and ``start`` as its ``departure``, from which
-    ``replay_leg`` steps.
-
-    Only ``engine.run`` without ``on_tick`` certifies legs: in between, the
-    agent's position is that of the center, not of the steps.
+    (saturated; none before it is drawn) or target, and its first step is
+    taken on tick ``start``. It is certified when its closed form is far
+    enough from every threshold (see ``_LEG_MARGIN``) that stepping would
+    snap onto the center on tick ``start + k`` and, for a target, arrive
+    nowhere before. The agent is then placed on the center with
+    ``landing = start + k``, and ``move_agents`` passes it over until that
+    tick, where it snaps from distance 0 with the same draws as a stepped
+    leg. Otherwise the agent is left as it was and steps. A certified agent
+    also keeps its position as the leg's ``origin`` and ``start`` as its
+    ``departure``, from which ``replay_leg`` steps.
     """
-    if agent.mode is SATURATED:
+    mode = agent.mode
+    if mode not in certified:
+        return
+    if mode is SATURATED:
         dest = agent.waypoint
+        if dest is None:
+            return
         low = _LEG_MARGIN
     else:
         dest = agent.target
@@ -301,7 +299,11 @@ def replay_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], now:
 
 
 def move_agents(
-    agents: list[AgentState], grid: HexGrid, rng: np.random.Generator, now: int = 0, wander: bool = False
+    agents: list[AgentState],
+    grid: HexGrid,
+    rng: np.random.Generator,
+    now: int = 0,
+    certified: frozenset[Mode] = frozenset(),
 ) -> list[AgentState]:
     """Phases 1-2 of the tick: move every agent, then say who arrived.
 
@@ -314,17 +316,17 @@ def move_agents(
 
     ``now`` is the tick's index. An agent whose ``landing`` is later is on
     a certified leg (``certify_leg``) and is passed over; on its landing
-    tick it sits on the center and snaps there like any other. With
-    ``wander``, each waypoint a saturated agent draws starts a leg that is
-    certified, whose first step is this tick for a first waypoint and the
-    next tick after a snap. With the defaults, and agents built with
-    ``landing = -1``, every agent steps.
+    tick it sits on the center and snaps there like any other. Each drawn
+    waypoint starts a leg (``certify_leg`` with ``certified``); a snap's
+    redraw tests ``SATURATED in certified``, read once per pass, so that
+    in a social run it makes no call. With the defaults, and agents built
+    with ``landing = -1``, every agent steps.
 
     A saturated agent carries no target (``on_arrival`` and ``on_fusion``
     clear it), so it never arrives. Any other agent moves toward its
     target, so its arrival test needs no ``hypot``: one that snapped onto
     the center sits at distance 0, and one that stepped from farther than
-    ``speed + ARRIVAL_RADIUS + _ARRIVAL_MARGIN`` is out of reach. Only the
+    ``speed + ARRIVAL_RADIUS + _LEG_MARGIN`` is out of reach. Only the
     band in between takes the exact ``at_target`` test.
 
     Destinations are proposition indices the agents hold, always in
@@ -335,7 +337,8 @@ def move_agents(
     # A local, because the global and attribute lookup of math.hypot is a
     # measurable share of this loop.
     hypot = math.hypot
-    reach = ARRIVAL_RADIUS + _ARRIVAL_MARGIN
+    reach = ARRIVAL_RADIUS + _LEG_MARGIN
+    saturated_certified = SATURATED in certified
     arrived = []
     for agent in agents:
         if agent.landing > now:
@@ -345,10 +348,9 @@ def move_agents(
             dest = agent.waypoint
             if dest is None:
                 dest = agent.waypoint = int(rng.integers(n)) + 1
-                if wander:
-                    certify_leg(agent, centers, now)
-                    if agent.landing > now:
-                        continue
+                certify_leg(agent, centers, now, certified)
+                if agent.landing > now:
+                    continue
         else:
             dest = agent.target
             if dest is None:
@@ -363,8 +365,8 @@ def move_agents(
             agent.y = cy
             if saturated:
                 agent.waypoint = int(rng.integers(n)) + 1
-                if wander:
-                    certify_leg(agent, centers, now + 1)
+                if saturated_certified:
+                    certify_leg(agent, centers, now + 1, certified)
             else:  # snapped onto the target's center
                 arrived.append(agent)
         else:

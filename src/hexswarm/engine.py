@@ -45,19 +45,22 @@ Nothing in the ``RunRecord`` shows this. ``run`` never idles when given
 an observer (``on_tick`` or ``on_row``), since an observer may read the
 positions of wandering agents.
 
-Without ``on_tick``, ``run`` also sets ``SimState.certify_legs``. Only
-broadcasters' positions are read (phases 3-4), so the straight leg of an
-exploring agent, and every leg of an asocial run, is certified where it
-starts (``agent.certify_leg``): the agent waits on the leg's center and
-phase 1 passes it over until the tick on which stepping would snap it
-there, when it lands, draws and arrives in its id-order place. A leg too
-close to a threshold for its closed form to be certain of that tick is
-stepped. The record and every draw are unchanged; only positions mid-leg
-are not kept. Before each ``on_row`` call, ``run`` replays the steps of
-every agent still waiting (``agent.replay_leg``), so the observer sees
-exactly the positions stepping would have; afterwards it puts each one
-back on its center. ``tick`` called directly, and ``run`` with
-``on_tick``, step every agent on every tick.
+The certification policy. Phases 3-4 read only the positions of
+broadcasters, saturated agents included when ``C_f > 0``. So ``run``
+decides once which modes' straight legs skip their steps,
+``SimState.certified``: none with ``on_tick``, which may read every
+position; exploring when ``C_f > 0``; exploring and saturated when
+``C_f == 0``. Each of the four places a leg starts calls
+``agent.certify_leg`` with the set: ``run``'s first targets, an arrival,
+a fusion and a waypoint draw in ``agent.move_agents``. A certified agent
+waits on the leg's center, and phase 1 passes it over until the tick on
+which stepping would snap it there, when it lands, draws and arrives in
+its id-order place; a leg too close to a threshold for its closed form
+to be certain of that tick is stepped. So the record and every draw are
+unchanged, but positions mid-leg are not kept: before each ``on_row``
+call, ``run`` replays every waiting agent's steps (``agent.replay_leg``)
+and afterwards puts it back. ``tick`` called directly, with the set
+left empty, steps every agent.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .agent import (
     EXPLORING,
     SATURATED,
     AgentState,
+    Mode,
     certify_leg,
     move_agents,
     on_arrival,
@@ -206,10 +210,8 @@ class SimState:
     # also leaves both lists above empty; ``tick`` then only advances
     # ``tick_index``.
     idle: bool = False
-    # Set by ``run`` when no ``on_tick`` observes every tick: the legs of
-    # exploring agents, and every leg of an asocial run, are then certified
-    # (``agent.certify_leg``) where they start, and not stepped.
-    certify_legs: bool = False
+    # The modes whose legs are certified: the policy in the module docstring.
+    certified: frozenset[Mode] = frozenset()
 
 
 @dataclass
@@ -295,6 +297,9 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     if not adjacency:
         return
     rng = state.rng
+    centers = state.grid.centers
+    start = state.tick_index + 1
+    certified = state.certified
     matched: set[int] = set()
     # Shuffling the id list in place makes the same draws, and gives the
     # same order, as indexing it through rng.permutation(len(broadcasters)):
@@ -314,10 +319,8 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
         belief_j = agents[j].belief
         on_fusion(agents[i], belief_j, rng)
         on_fusion(agents[j], belief_i, rng)
-        if state.certify_legs:
-            for agent in (agents[i], agents[j]):
-                if agent.mode is EXPLORING:
-                    certify_leg(agent, state.grid.centers, state.tick_index + 1)
+        certify_leg(agents[i], centers, start, certified)
+        certify_leg(agents[j], centers, start, certified)
         matched.add(i)
         matched.add(j)
         state.fusion_events += 1
@@ -329,9 +332,7 @@ def tick(state: SimState) -> SimState:
 
     An idle state (``SimState.idle``) only advances ``tick_index``: its
     ``last_arrivals`` and ``last_fusions`` were emptied when it went idle
-    and stay empty. With ``SimState.certify_legs``, the new leg of an
-    agent that its arrival leaves exploring is certified, and so is every
-    waypoint leg of an asocial run.
+    and stay empty.
     """
     if state.idle:
         state.tick_index += 1
@@ -340,13 +341,11 @@ def tick(state: SimState) -> SimState:
     agents = state.agents
     rng = state.rng
     now = state.tick_index
-    certify = state.certify_legs
     state.last_fusions = []
-    state.last_arrivals = move_agents(agents, state.grid, rng, now, certify and cfg.C_f == 0)
+    state.last_arrivals = move_agents(agents, state.grid, rng, now, state.certified)
     for agent in state.last_arrivals:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
-        if certify and agent.mode is EXPLORING:
-            certify_leg(agent, state.grid.centers, now + 1)
+        certify_leg(agent, state.grid.centers, now + 1, state.certified)
 
     if cfg.C_f > 0:
         broadcasters = [a.id for a in agents if a.mode is not EXPLORING]
@@ -403,22 +402,20 @@ def run(
     saturated but has not converged goes idle (see the module docstring):
     its remaining ticks only count up to ``max_ticks``, in a bare loop, and
     its remaining rows repeat one sample. The record is the same either
-    way; only the generator's use after that point differs. Without
-    ``on_tick``, legs are also certified (``SimState.certify_legs``),
-    starting with every agent's first target; ``on_row`` sees each waiting
-    agent replayed to its stepped position, so it sees what it would see
-    with every agent stepped.
+    way; only the generator's use after that point differs. The
+    certification policy (module docstring) is decided here; ``on_row``
+    sees each waiting agent replayed, as it would with every agent stepped.
     """
     state = initialize(config)
+    modes = () if on_tick is not None else (EXPLORING,) if config.C_f > 0 else (EXPLORING, SATURATED)
+    state.certified = frozenset(modes)
     trajectory = [_sample(state)]
     if on_row is not None:
         on_row(state)  # before any leg is certified
     if on_tick is not None:
         on_tick(state, True)
-    else:
-        state.certify_legs = True
-        for agent in state.agents:
-            certify_leg(agent, state.grid.centers, 0)
+    for agent in state.agents:
+        certify_leg(agent, state.grid.centers, 0, state.certified)
     observed = on_tick is not None or on_row is not None
     converged = False
     # Whether an arrival or a fusion happened since the last trajectory row.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexswarm.agent import (
-    _ARRIVAL_MARGIN,
+    _LEG_MARGIN,
     AgentState,
     Mode,
     advance_position,
@@ -270,7 +270,7 @@ def populations(draw):
             (0.0, 0.0),
             (anchor[0] - ARRIVAL_RADIUS * dx, anchor[1] - ARRIVAL_RADIUS * dy),
             *[(anchor[0] - (ARRIVAL_RADIUS + speed + e) * dx, anchor[1] - (ARRIVAL_RADIUS + speed + e) * dy)
-              for e in (0.0, -2 * _ARRIVAL_MARGIN, 2 * _ARRIVAL_MARGIN)],
+              for e in (0.0, -2 * _LEG_MARGIN, 2 * _LEG_MARGIN)],
         ]) | st.tuples(st.floats(-80, 80), st.floats(-80, 80)))
         if draw(st.booleans()):
             # dist == speed exactly, whenever the destination is not drawn in the pass

@@ -28,6 +28,8 @@ from hexswarm.engine import SimConfig
 from hexswarm.environment import ARRIVAL_RADIUS, HexCell, HexGrid, _axial_to_world, build_grid
 
 SPEEDS = (5.0, 3.7, 17.0)
+# Every mode's legs certified, where the engine's policy may name fewer.
+ALL = frozenset(Mode)
 
 
 def explorers(legs, grid, speed):
@@ -61,7 +63,7 @@ def certified(agents, grid, start=0):
     step on tick ``start``, moved by ``move_agents``; and the ids certified."""
     agents = copy.deepcopy(agents)
     for agent in agents:
-        certify_leg(agent, grid.centers, start)
+        certify_leg(agent, grid.centers, start, ALL)
     rng = np.random.default_rng(0)
     found = arrivals(agents, lambda moving, t: move_agents(moving, grid, rng, now=start + t))
     for agent in agents:
@@ -122,13 +124,13 @@ def test_tiny_speed_certifies_only_legs_within_the_step_bound():
     grid = build_grid(2)
     speed = 1e-3
     explorer = explorers([(0.0, 0.0, 1)], grid, speed)[0]
-    certify_leg(explorer, grid.centers, 0)
+    certify_leg(explorer, grid.centers, 0, ALL)
     assert explorer.landing == -1
     certain = Belief.from_string("1" * grid.n)
     legs = [AgentState(i, 0.0, 0.0, certain, mode=Mode.SATURATED, waypoint=i + 1, speed=speed) for i in range(grid.n)]
     agents = copy.deepcopy(legs)
     for agent in agents:
-        certify_leg(agent, grid.centers, 0)
+        certify_leg(agent, grid.centers, 0, ALL)
     over = [(math.hypot(*grid.centers[a.waypoint - 1]) - speed) / speed >= _MAX_LEG_STEPS for a in agents]
     assert sum(over) == 6
     assert all(a.landing == -1 for a, o in zip(agents, over) if o)
@@ -156,7 +158,7 @@ def test_exact_ties_are_not_certified():
     ]
     agents = explorers(ties, grid, 5.0)
     for agent in agents:
-        certify_leg(agent, grid.centers, 0)
+        certify_leg(agent, grid.centers, 0, ALL)
     assert [a.landing for a in agents] == [-1] * len(ties)
     assert [a.y for a in agents] == [y for _, y, _ in ties]
     # The rest == ARRIVAL_RADIUS leg arrives in the band, off the center.
@@ -170,15 +172,15 @@ def test_exact_ties_are_not_certified():
     assert len(multiples) > 100
     agents = explorers(multiples, grid, 5.0)
     for agent in agents:
-        certify_leg(agent, grid.centers, 0)
+        certify_leg(agent, grid.centers, 0, ALL)
     assert all(a.landing == -1 for a in agents)
 
 
 @pytest.mark.parametrize("speed", SPEEDS + (0.9,))
 def test_wandering_agents_draw_as_stepping_ones_do(speed):
-    """With ``wander``, every waypoint leg of a saturated agent is certified
-    where it is drawn: the waypoints, the draws and the position whenever an
-    agent is not on a certified leg match stepping, tick by tick."""
+    """With saturated agents certified, every waypoint leg is certified where
+    it is drawn: the waypoints, the draws and the position whenever an agent
+    is not on a certified leg match stepping, tick by tick."""
     grid = build_grid(3)
     certain = Belief.from_string("1" * grid.n)
     agents = [
@@ -190,7 +192,7 @@ def test_wandering_agents_draw_as_stepping_ones_do(speed):
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     legs = set()
     for t in range(300):
-        assert move_agents(agents, grid, rng, now=t, wander=True) == []
+        assert move_agents(agents, grid, rng, now=t, certified=ALL) == []
         reference_model.move(expected, grid, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert [a.waypoint for a in agents] == [a.waypoint for a in expected]
@@ -233,30 +235,82 @@ def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
     step, and an agent that a fusion leaves exploring starts a leg that is
     certified as ``certify_leg`` certifies it from where the fusion left it."""
     fused = []
+    restarted = 0
 
     def on_fusion(agent, belief, rng):
         engine_on_fusion(agent, belief, rng)
         fused.append((agent, copy.deepcopy(agent)))
 
-    engine_on_fusion = engine.on_fusion
-    monkeypatch.setattr(engine, "on_fusion", on_fusion)
-    state = engine.initialize(config)
-    state.certify_legs = True
-    for agent in state.agents:
-        certify_leg(agent, state.grid.centers, 0)
-    restarted = 0
-    for _ in range(config.max_ticks):
+    def checked_tick(state):
+        nonlocal restarted
         now = state.tick_index
-        engine.tick(state)
+        tick(state)
         assert all(a.landing <= now for a in state.agents if a.mode is not Mode.EXPLORING)
         for agent, found in fused:
             if found.mode is Mode.EXPLORING:
-                certify_leg(found, state.grid.centers, now + 1)
+                certify_leg(found, state.grid.centers, now + 1, frozenset({Mode.EXPLORING}))
                 assert (agent.x, agent.y, agent.landing) == (found.x, found.y, found.landing)
                 restarted += found.landing > now
         fused.clear()
+
+    engine_on_fusion, tick = engine.on_fusion, engine.tick
+    monkeypatch.setattr(engine, "on_fusion", on_fusion)
+    monkeypatch.setattr(engine, "tick", checked_tick)
+    record = engine.run(config)
+    monkeypatch.undo()
     assert restarted
-    assert engine.run(config).to_json() == reference_model.run(config).to_json()
+    assert record.to_json() == reference_model.run(config).to_json()
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["no observer", "on_row"])
+@pytest.mark.parametrize("config", SOCIAL, ids=lambda c: f"C_f={c.C_f},speed={c.speed}")
+def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
+    """``engine.run`` itself, with no observer and with ``on_row``, starts
+    waiting legs (``landing`` past the tick) at every place a leg starts:
+    the first targets, an arrival that leaves the agent exploring, a fusion
+    in a social run, and an asocial waypoint, both a first one (first step this tick) and one
+    drawn on a snap (first step next tick). No broadcasting agent, and no
+    saturated agent of a social run, ever waits."""
+    social = config.C_f > 0
+    arrived, fused, sites = set(), set(), set()
+
+    def on_arrival(agent, *args):
+        arrived.add(agent.id)
+        return engine_on_arrival(agent, *args)
+
+    def on_fusion(agent, *args):
+        fused.add(agent.id)
+        return engine_on_fusion(agent, *args)
+
+    def checked_tick(state):
+        now = state.tick_index
+        if now == 0 and any(a.landing > 0 for a in state.agents):
+            sites.add("first targets")
+        before = [a.landing for a in state.agents]
+        arrived.clear()
+        fused.clear()
+        tick(state)
+        for agent, landing in zip(state.agents, before):
+            waits = agent.landing > now
+            assert not (waits and (agent.mode is Mode.BROADCASTING or social and agent.mode is Mode.SATURATED))
+            if waits and agent.landing != landing:
+                if agent.id in fused:
+                    sites.add("fusion")
+                elif agent.id in arrived:
+                    sites.add("arrival")
+                else:
+                    assert agent.mode is Mode.SATURATED
+                    sites.add("first waypoint" if agent.departure == now else "waypoint")
+
+    engine_on_arrival, engine_on_fusion, tick = engine.on_arrival, engine.on_fusion, engine.tick
+    monkeypatch.setattr(engine, "on_arrival", on_arrival)
+    monkeypatch.setattr(engine, "on_fusion", on_fusion)
+    monkeypatch.setattr(engine, "tick", checked_tick)
+    engine.run(config, on_row=(lambda state: None) if observed else None)
+    expected = {"first targets", "fusion"} if social else {"first targets", "first waypoint", "waypoint"}
+    if config.C_f < 1:  # at C_f = 1 every arrival broadcasts
+        expected.add("arrival")
+    assert sites == expected
 
 
 def replays_as_stepped(agent, grid, start, ticks=None):
@@ -265,7 +319,7 @@ def replays_as_stepped(agent, grid, start, ticks=None):
     steps) to its landing tick (all its steps before the snap), where
     stepping a copy that many times does. Returns whether it was certified."""
     stepping = copy.deepcopy(agent)
-    certify_leg(agent, grid.centers, start)
+    certify_leg(agent, grid.centers, start, ALL)
     if agent.landing < 0:
         return False
     assert agent.origin == (stepping.x, stepping.y) and agent.departure == start
@@ -314,7 +368,7 @@ def test_replay_at_a_tiny_speed():
     for dest in range(1, grid.n + 1):
         agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, waypoint=dest, speed=1e-3)
         probe = copy.deepcopy(agent)
-        certify_leg(probe, grid.centers, 3)
+        certify_leg(probe, grid.centers, 3, ALL)
         if probe.landing < 0:
             continue
         k = probe.landing - 3
