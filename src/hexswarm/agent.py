@@ -15,7 +15,8 @@ every agent and detects arrivals exactly as ``advance_position`` and
 ``tests/reference_model.py`` moves with those, and the tests compare the two.
 ``certify_leg`` replaces the steps of a straight leg by its closed form
 (the policy is in the ``engine`` module docstring), and ``replay_leg``
-gives, bit for bit, the position stepping would have reached mid-leg.
+steps ``advance_position`` from the leg's origin to give, bit for bit,
+the position stepping would have reached mid-leg.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ DEFAULT_SPEED = 5.0
 # within about 6u*speed + 1.5u*X, and speed is below the step's distance, at
 # most 3X. So after j steps the computed distance is d - j*speed within
 # (20j + 18)u*X, and rest's own rounding adds under 6u*X. The arena cap of
-# ``errors.RULES`` (hex_disc_radius <= 300, at the default circumradius 10)
+# ``errors.RULES`` (hex_disc_radius <= 300, at ``environment.CIRCUMRADIUS`` 10)
 # gives X < 5200 < 2**13, so for every j <= _MAX_LEG_STEPS = 2**15 the error
 # stays below (20 * 2**15 + 24) * 2**-40 < 6e-7 < _LEG_MARGIN. It bounds
 # ``certify_leg``'s k steps, and ``move_agents``' arrival band (j = 1). A
@@ -191,7 +192,8 @@ def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator)
     Saturated agents head for a randomly drawn cell center and redraw it
     on arrival; everyone else heads for their target cell. Movement never
     overshoots the destination. This is the reference for the movement
-    half of ``move_agents``, which the tick uses instead.
+    half of ``move_agents``, which the tick uses instead, and the step
+    ``replay_leg`` repeats.
     """
     if agent.mode is SATURATED:
         if agent.waypoint is None:
@@ -274,28 +276,18 @@ def certify_leg(
             agent.landing = start + k
 
 
-def replay_leg(agent: AgentState, centers: tuple[tuple[float, float], ...], now: int) -> None:
+def replay_leg(agent: AgentState, grid: HexGrid, now: int) -> None:
     """Move an agent waiting on a certified leg to where stepping would have
-    it when tick ``now`` starts: ``now - departure`` steps from ``origin``.
-
-    Each step is ``move_agents``' own, expression for expression, so the
-    position is the stepped one bit for bit. Certification guarantees that
-    every step before the landing tick is a partial one, so none snaps.
-    The caller puts the agent back on its center (its waiting position)
-    before the run goes on.
+    it when tick ``now`` starts: ``now - departure`` calls of
+    ``advance_position`` from ``origin``, so the position is the stepped one
+    bit for bit. Certification guarantees that every step before the landing
+    tick is a partial one; a snap would draw from the absent generator and
+    raise. The caller puts the agent back on its center (its waiting
+    position) before the run goes on.
     """
-    cx, cy = centers[(agent.waypoint if agent.mode is SATURATED else agent.target) - 1]
-    x, y = agent.origin
-    speed = agent.speed
+    agent.x, agent.y = agent.origin
     for _ in range(now - agent.departure):
-        dx = cx - x
-        dy = cy - y
-        dist = math.hypot(dx, dy)
-        scale = speed / dist
-        x += dx * scale
-        y += dy * scale
-    agent.x = x
-    agent.y = y
+        advance_position(agent, grid, None)
 
 
 def move_agents(
@@ -323,11 +315,12 @@ def move_agents(
     with ``landing = -1``, every agent steps.
 
     A saturated agent carries no target (``on_arrival`` and ``on_fusion``
-    clear it), so it never arrives. Any other agent moves toward its
-    target, so its arrival test needs no ``hypot``: one that snapped onto
-    the center sits at distance 0, and one that stepped from farther than
-    ``speed + ARRIVAL_RADIUS + _LEG_MARGIN`` is out of reach. Only the
-    band in between takes the exact ``at_target`` test.
+    clear it), so it never arrives. Any other agent holds a target (no
+    engine path leaves it without one) and moves toward it, so its arrival
+    test needs no ``hypot``: one that snapped onto the center sits at
+    distance 0, and one that stepped from farther than ``speed +
+    ARRIVAL_RADIUS + _LEG_MARGIN`` is out of reach. Only the band in
+    between takes the exact ``at_target`` test.
 
     Destinations are proposition indices the agents hold, always in
     1..n, so centers are read without ``center_of``'s range check.
@@ -353,8 +346,6 @@ def move_agents(
                     continue
         else:
             dest = agent.target
-            if dest is None:
-                continue
         cx, cy = centers[dest - 1]
         dx = cx - agent.x
         dy = cy - agent.y

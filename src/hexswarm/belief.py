@@ -30,15 +30,6 @@ class TruthValue(IntEnum):
     UNKNOWN = 1
     TRUE = 2
 
-    @property
-    def numeric(self) -> float:
-        """Numeric reading used by error metrics: 0.0, 0.5 or 1.0."""
-        return (0.0, 0.5, 1.0)[self.value]
-
-    @property
-    def symbol(self) -> str:
-        return "0u1"[self.value]
-
 
 FALSE = TruthValue.FALSE
 UNKNOWN = TruthValue.UNKNOWN

@@ -30,8 +30,7 @@ skipped entirely whenever fewer than two agents are broadcasting, which
 leaves no observable trace because nothing in them consumes randomness.
 
 ``run`` checks for convergence only after a tick with an arrival or a
-fusion, the only events that change a mode or a belief, and a trajectory
-row taken with neither since the previous row repeats that row's values.
+fusion, the only events that change a mode or a belief.
 
 An asocial run whose agents are all saturated can no longer change: no
 agent has a target, so none arrives, and nobody broadcasts. If it has not
@@ -373,10 +372,9 @@ def _observe_row(state: SimState, on_row: Callable[[SimState], None]) -> None:
     (``landing >= tick_index``: it has not snapped yet) where stepping would
     have it, then put each one back where it waited."""
     now = state.tick_index
-    centers = state.grid.centers
     waiting = [(a, a.x, a.y) for a in state.agents if a.landing >= now]
     for agent, _, _ in waiting:
-        replay_leg(agent, centers, now)
+        replay_leg(agent, state.grid, now)
     on_row(state)
     for agent, x, y in waiting:
         agent.x = x
@@ -418,8 +416,6 @@ def run(
         certify_leg(agent, state.grid.centers, 0, state.certified)
     observed = on_tick is not None or on_row is not None
     converged = False
-    # Whether an arrival or a fusion happened since the last trajectory row.
-    changed = False
     for t in range(1, config.max_ticks + 1):
         tick(state)
         # Modes and beliefs change only in on_arrival and on_fusion. At tick
@@ -428,7 +424,6 @@ def run(
         # belief as the previous (unconverged) tick had them, so it cannot
         # newly converge: the check is needed only after a tick with one.
         if state.last_arrivals or state.last_fusions:
-            changed = True
             # Arrivals first: an unsaturated arrival, the usual case, skips the full scan.
             arrivals_saturated = all(a.mode is SATURATED for a in state.last_arrivals)
             saturated = arrivals_saturated and all(a.mode is SATURATED for a in state.agents)
@@ -443,11 +438,7 @@ def run(
                 break
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
-            # A row depends only on beliefs and the fusion count, which change
-            # only with an arrival or a fusion, so without one since the last
-            # row the values repeat.
-            trajectory.append(_sample(state) if changed else trajectory[-1]._replace(tick=t))
-            changed = False
+            trajectory.append(_sample(state))
             if on_row is not None:
                 _observe_row(state, on_row)
         if on_tick is not None:

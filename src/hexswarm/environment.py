@@ -17,10 +17,10 @@ import numpy as np
 from .belief import Belief, GroundTruth
 from .errors import ConfigError, check
 
-# World-units scale: adjacent cell centers sit sqrt(3)*circumradius apart,
+# World-units scale: adjacent cell centers sit sqrt(3)*CIRCUMRADIUS apart,
 # so the smallest communication radius of interest (20) spans roughly one
-# cell neighbourhood.
-DEFAULT_CIRCUMRADIUS = 10.0
+# cell neighbourhood. ``agent._LEG_MARGIN`` is derived for this scale.
+CIRCUMRADIUS = 10.0
 
 # An agent counts as "at" a cell when within this distance of its center.
 ARRIVAL_RADIUS = 1.0
@@ -41,10 +41,9 @@ class HexCell:
 class HexGrid:
     """Immutable disc of hexagonal cells centered on the launch pad."""
 
-    def __init__(self, cells: list[HexCell], launch: HexCell, circumradius: float):
+    def __init__(self, cells: list[HexCell], launch: HexCell):
         self.cells = tuple(cells)
         self.launch = launch
-        self.circumradius = circumradius
         # Cell centers indexed by proposition index - 1, read-only; plain
         # tuples keep the per-tick lookups off the numpy scalar path.
         self.centers = tuple((c.x, c.y) for c in cells)
@@ -60,22 +59,15 @@ class HexGrid:
             raise ValueError(f"cell index {index} out of range 1..{len(self.cells)}")
         return self.centers[index - 1]
 
-    def to_table(self) -> str:
-        """Plain-text dump: one ``index q r x y`` row per cell, launch first."""
-        rows = ["# index q r x y"]
-        for c in (self.launch, *self.cells):
-            rows.append(f"{c.index} {c.q} {c.r} {c.x!r} {c.y!r}")
-        return "\n".join(rows) + "\n"
 
-
-def _axial_to_world(q: int, r: int, circumradius: float) -> tuple[float, float]:
+def _axial_to_world(q: int, r: int) -> tuple[float, float]:
     # Pointy-top layout.
-    x = circumradius * math.sqrt(3.0) * (q + r / 2.0)
-    y = circumradius * 1.5 * r
+    x = CIRCUMRADIUS * math.sqrt(3.0) * (q + r / 2.0)
+    y = CIRCUMRADIUS * 1.5 * r
     return x, y
 
 
-def build_grid(hex_disc_radius: int, circumradius: float = DEFAULT_CIRCUMRADIUS) -> HexGrid:
+def build_grid(hex_disc_radius: int) -> HexGrid:
     """Build the hexagonal disc arena.
 
     The disc of radius r contains every axial coordinate (q, r') with
@@ -83,8 +75,6 @@ def build_grid(hex_disc_radius: int, circumradius: float = DEFAULT_CIRCUMRADIUS)
     the remaining 3r(r+1) cells are numbered 1..n in (r', q) order.
     """
     check("hex_disc_radius", hex_disc_radius)
-    if circumradius <= 0:
-        raise ConfigError(f"circumradius must be positive, got {circumradius}")
 
     coords = []
     radius = hex_disc_radius
@@ -94,11 +84,11 @@ def build_grid(hex_disc_radius: int, circumradius: float = DEFAULT_CIRCUMRADIUS)
                 coords.append((q, r))
 
     cells = [
-        HexCell(i, q, r, *_axial_to_world(q, r, circumradius))
+        HexCell(i, q, r, *_axial_to_world(q, r))
         for i, (q, r) in enumerate(coords, start=1)
     ]
     launch = HexCell(0, 0, 0, 0.0, 0.0)
-    return HexGrid(cells, launch, circumradius)
+    return HexGrid(cells, launch)
 
 
 @dataclass(frozen=True)

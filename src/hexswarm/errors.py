@@ -23,7 +23,7 @@ class Rule(NamedTuple):
 
 
 RULES = {
-    # complete_graph holds m(m-1)/2 edges at about 0.3 KB each: 144 MB at m = 1000.
+    # complete_graph holds m(m-1)/2 edges at about 0.15 KB each: 69 MB at m = 1000.
     "m": Rule(True, 2, 1000),
     # build_grid holds 3r(r+1) cells at about 0.39 KB each: 104 MB at r = 300.
     "hex_disc_radius": Rule(True, 1, 300),

@@ -172,7 +172,6 @@ class CellSummary:
     ci95: float
     mean_terminal_tick: float
     consensus_fraction: float
-    trial_errors: tuple[float, ...]
     degenerate: bool  # single-trial cell: the CI width is not meaningful
 
     def describe(self) -> str:
@@ -200,7 +199,6 @@ def aggregate(grouped: Sequence[Sequence[RunRecord]]) -> list[CellSummary]:
                 ci95=ci95,
                 mean_terminal_tick=float(np.mean([r.terminal_tick for r in records])),
                 consensus_fraction=float(np.mean([r.converged for r in records])),
-                trial_errors=tuple(errors),
                 degenerate=len(records) == 1,
             )
         )

@@ -39,25 +39,10 @@ class InteractionNetwork:
         self.edges = frozenset(edges)
         self.topology = topology
         self.k = k
-        adj: list[set[int]] = [set() for _ in range(m)]
+        upper: list[list[int]] = [[] for _ in range(m)]
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self.upper = tuple(tuple(sorted(j for j in s if j > i)) for i, s in enumerate(adj))
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return self._adj[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
-    def to_edge_list(self) -> str:
-        """One ``i j`` pair per line, sorted."""
-        return "\n".join(f"{i} {j}" for i, j in sorted(self.edges)) + "\n"
-
-    def __repr__(self) -> str:
-        return f"InteractionNetwork({self.topology}, m={self.m}, k={self.k})"
+            upper[i].append(j)
+        self.upper = tuple(tuple(sorted(row)) for row in upper)
 
 
 def ring_lattice(m: int, k: int) -> InteractionNetwork:

@@ -251,15 +251,15 @@ def populations(draw):
     comparisons are closest: on cell centers, ARRIVAL_RADIUS (or one step
     plus ARRIVAL_RADIUS, or that plus or minus twice move_agents' rounding
     margin) short of their destination, and with speeds equal to the
-    distance to it. A saturated agent carries no target, as
-    ``TestTargetInvariant`` checks of every mode change."""
+    distance to it. A saturated agent carries no target and any other
+    agent one, as ``TestTargetInvariant`` checks of every mode change."""
     grid = build_grid(draw(st.integers(1, 3)))
     n = grid.n
     cells = st.integers(1, n)
     agents = []
     for i in range(draw(st.integers(1, 12))):
         mode = draw(st.sampled_from(list(Mode)))
-        target = None if mode is Mode.SATURATED else draw(st.none() | cells)
+        target = None if mode is Mode.SATURATED else draw(cells)
         waypoint = draw(st.none() | cells)
         dest = waypoint if mode is Mode.SATURATED else target
         speed = draw(st.sampled_from([0.5, 1.0, 5.0, 17.0]) | st.floats(0.1, 40))

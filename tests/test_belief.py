@@ -200,11 +200,6 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="certain"):
             GroundTruth([0, 1, 2])
 
-    def test_numeric_values(self):
-        assert FALSE.numeric == 0.0
-        assert UNKNOWN.numeric == 0.5
-        assert TRUE.numeric == 1.0
-
     def test_as_belief(self):
         truth = GroundTruth.from_bools([True, False])
         assert truth.as_belief() == Belief.from_string("10")

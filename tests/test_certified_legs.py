@@ -26,6 +26,7 @@ from hexswarm.agent import (
 from hexswarm.belief import Belief
 from hexswarm.engine import SimConfig
 from hexswarm.environment import ARRIVAL_RADIUS, HexCell, HexGrid, _axial_to_world, build_grid
+from hexswarm.errors import RULES
 
 SPEEDS = (5.0, 3.7, 17.0)
 # Every mode's legs certified, where the engine's policy may name fewer.
@@ -102,12 +103,16 @@ def test_legs_from_centers_and_band_arrivals(speed):
 
 
 def test_far_corners_of_the_largest_arena():
-    """The largest coordinates ``run`` accepts: corners of a radius-300 disc,
-    with the same centers as ``build_grid(300)`` gives them."""
-    corners = [(300, 0), (-300, 0), (0, 300), (0, -300), (300, -300), (-300, 300), (299, -150), (1, 0), (-2, 1)]
-    cells = [HexCell(i, q, r, *_axial_to_world(q, r, 10.0)) for i, (q, r) in enumerate(corners, start=1)]
-    grid = HexGrid(cells, HexCell(0, 0, 0, 0.0, 0.0), 10.0)
-    assert max(abs(v) for c in grid.centers for v in c) > 5000
+    """The largest coordinates ``run`` accepts: corners of the largest disc
+    ``errors.RULES`` allows, with the same centers as ``build_grid`` gives
+    them. They stay below 2**13, the coordinate bound ``_LEG_MARGIN`` is
+    derived for, so raising the arena cap or the cell size past that
+    derivation fails here."""
+    R = RULES["hex_disc_radius"].high
+    corners = [(R, 0), (-R, 0), (0, R), (0, -R), (R, -R), (-R, R), (R - 1, -(R // 2)), (1, 0), (-2, 1)]
+    cells = [HexCell(i, q, r, *_axial_to_world(q, r)) for i, (q, r) in enumerate(corners, start=1)]
+    grid = HexGrid(cells, HexCell(0, 0, 0, 0.0, 0.0))
+    assert 5000 < max(abs(v) for c in grid.centers for v in c) < 2**13
     legs = [(x, y, dest) for x, y in [(0.0, 0.0), *grid.centers] for dest in range(1, grid.n + 1)
             if (x, y) != grid.centers[dest - 1]]
     for speed in SPEEDS:
@@ -331,7 +336,7 @@ def replays_as_stepped(agent, grid, start, ticks=None):
         for _ in range(t - now):
             advance_position(stepping, grid, rng)
         now = t
-        replay_leg(agent, grid.centers, t)
+        replay_leg(agent, grid, t)
         assert (agent.x, agent.y) == (stepping.x, stepping.y), t
         assert (agent.x, agent.y) != center
     # One more step snaps onto the center, on the landing tick.

@@ -17,11 +17,10 @@ EXPECTED = {
     "errors.check",
     "errors.check_lattice",
     # No config field's range: the topology tag's syntax and type, empty or
-    # repeated sweep lists, the cell size and the proposition count.
+    # repeated sweep lists and the proposition count.
     "engine.parse_topology",
     "engine.SimConfig.validate",
     "experiment.SweepSpec.validate",
-    "environment.build_grid",
     "environment.sample_ground_truth",
     # The CLI's override syntax, config I/O, a key repeated in a config file,
     # unknown keys and a sweep config given to run.

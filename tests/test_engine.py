@@ -25,8 +25,9 @@ from hexswarm.engine import (
     run,
     tick,
 )
-from hexswarm.environment import DEFAULT_CIRCUMRADIUS
+from hexswarm.environment import CIRCUMRADIUS
 from hexswarm.errors import ConfigError
+from hexswarm.network import ring_lattice
 
 FAST = dict(m=6, hex_disc_radius=2, C_r=20.0, C_f=0.2, epsilon=0.1, max_ticks=2000, seed=11)
 
@@ -120,7 +121,7 @@ class TestInitialize:
 
     def test_lattice_topology_applied(self):
         state = initialize(SimConfig(m=20, hex_disc_radius=2, topology="lattice:2", seed=0))
-        assert all(state.network.degree(i) == 2 for i in range(20))
+        assert state.network.edges == ring_lattice(20, 2).edges
 
     def test_same_seed_identical_state(self):
         a = initialize(SimConfig(**FAST))
@@ -133,14 +134,15 @@ class TestInitialize:
 
 
 def force_broadcasters(state, ids, position=(0.0, 0.0)):
-    """Put the given agents in broadcasting mode at one spot; park the rest far away."""
+    """Put the given agents in broadcasting mode at one spot; park the rest
+    exploring far away, over a thousand units from their drawn targets, so
+    that they neither arrive nor broadcast on the next tick."""
     for agent in state.agents:
         if agent.id in ids:
             agent.mode = Mode.BROADCASTING
             agent.x, agent.y = position
         else:
             agent.x, agent.y = 900.0, 900.0
-            agent.target = None
             agent.mode = Mode.EXPLORING
 
 
@@ -202,7 +204,7 @@ class TestTickPairing:
         assert all(a.mode is Mode.SATURATED for a in state.agents)
 
 
-CELL_SPACING = math.sqrt(3) * DEFAULT_CIRCUMRADIUS
+CELL_SPACING = math.sqrt(3) * CIRCUMRADIUS
 
 
 class TestFusionPhaseMatchesEdgeSetReference:
@@ -268,7 +270,7 @@ class TestRunMatchesTwoLoopReference:
             (dict(seed=42), True),
             (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237), False),
             # Idles to max_ticks with a row on every tick: the model samples
-            # each row afresh, while run repeats rows taken without a change.
+            # each row afresh, while run fills the idle tail's rows from one sample.
             (dict(m=5, hex_disc_radius=2, C_f=0.0, epsilon=0.3, seed=7, max_ticks=1237, sample_every=1), False),
         ],
     )

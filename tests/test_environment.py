@@ -8,7 +8,7 @@ import pytest
 from hexswarm.belief import TruthValue, is_evidence, uncertain_indices
 from hexswarm.environment import (
     ARRIVAL_RADIUS,
-    DEFAULT_CIRCUMRADIUS,
+    CIRCUMRADIUS,
     NoiseModel,
     build_grid,
     observe,
@@ -53,7 +53,7 @@ class TestBuildGrid:
         grid = build_grid(2)
         by_axial = {(c.q, c.r): (c.x, c.y) for c in grid.cells}
         by_axial[(0, 0)] = (0.0, 0.0)
-        expected = math.sqrt(3) * DEFAULT_CIRCUMRADIUS
+        expected = math.sqrt(3) * CIRCUMRADIUS
         for dq, dr in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]:
             x, y = by_axial[(dq, dr)]
             assert math.hypot(x, y) == pytest.approx(expected, abs=1e-12)
@@ -75,20 +75,8 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="out of range"):
             grid.center_of(0)
 
-    def test_table_dump(self):
-        grid = build_grid(1)
-        lines = grid.to_table().strip().split("\n")
-        assert lines[0] == "# index q r x y"
-        assert len(lines) == 8  # header + launch + 6 cells
-        launch = lines[1].split()
-        assert launch[:3] == ["0", "0", "0"]
-        for line in lines[2:]:
-            index, q, r, x, y = line.split()
-            assert 1 <= int(index) <= 6
-            float(x), float(y)
-
     def test_arrival_radius_smaller_than_spacing(self):
-        assert ARRIVAL_RADIUS < math.sqrt(3) * DEFAULT_CIRCUMRADIUS / 2
+        assert ARRIVAL_RADIUS < math.sqrt(3) * CIRCUMRADIUS / 2
 
 
 class TestSampleGroundTruth:

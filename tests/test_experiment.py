@@ -154,11 +154,6 @@ class TestAggregate:
         assert summary.ci95 == 0.0
         assert summary.degenerate
 
-    def test_mean_within_trial_range(self):
-        records = [fake_record(errors=(0.5, e)) for e in (0.05, 0.2, 0.35)]
-        (summary,) = aggregate([records])
-        assert min(summary.trial_errors) <= summary.mean_error <= max(summary.trial_errors)
-
     def test_consensus_fraction_and_terminal(self):
         records = [
             fake_record(converged=True, terminal=100),
