@@ -68,6 +68,8 @@ def _parse_override(text: str) -> tuple[str, object]:
         value = json.loads(raw)
     except ValueError:  # not JSON, or an integer literal past Python's digit limit
         value = raw
+    except RecursionError:
+        raise ConfigError(f"override {key!r} is nested too deeply to parse") from None
     return key, value
 
 
@@ -138,6 +140,8 @@ def _load_config_data(invocation: CliInvocation) -> dict:
             raise
         except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config {invocation.config_path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"config {invocation.config_path} is nested too deeply to parse") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config {invocation.config_path} must be a JSON object")
     for key, value in invocation.overrides:

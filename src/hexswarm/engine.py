@@ -174,11 +174,6 @@ class SimConfig:
         if kind == "lattice":
             check_lattice(self.m, k)
 
-    def connectivity(self) -> int:
-        """Interaction-network degree: k for a lattice, m-1 when complete."""
-        kind, k = parse_topology(self.topology)
-        return self.m - 1 if kind == "complete" else k
-
 
 class TrajectoryPoint(NamedTuple):
     tick: int
@@ -247,9 +242,9 @@ class RunRecord:
 def initialize(config: SimConfig) -> SimState:
     """Set up a run: arena, world state, network, and m fresh agents.
 
-    All agents start on the launch cell with totally uncertain beliefs and
-    a freshly drawn target each. The generator is consumed in the order:
-    ground truth, then per-agent initial targets.
+    All agents start on the launch pad at (0, 0) with totally uncertain
+    beliefs and a freshly drawn target each. The generator is consumed in
+    the order: ground truth, then per-agent initial targets.
     """
     config.validate()
     grid = build_grid(config.hex_disc_radius)
@@ -261,9 +256,8 @@ def initialize(config: SimConfig) -> SimState:
     else:
         network = ring_lattice(config.m, k)
     noise = NoiseModel(config.epsilon)
-    launch = grid.launch
     agents = [
-        AgentState(id=i, x=launch.x, y=launch.y, belief=Belief.unknown(grid.n), speed=config.speed)
+        AgentState(id=i, x=0.0, y=0.0, belief=Belief.unknown(grid.n), speed=config.speed)
         for i in range(config.m)
     ]
     for agent in agents:

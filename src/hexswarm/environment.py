@@ -1,10 +1,11 @@
 """Hexagonal arena: cell geometry, hidden ground truth, noisy observation.
 
 The arena is a pointy-top hexagonal disc of cells in axial coordinates.
-The central cell is the launch pad and carries no proposition; every
-other cell corresponds to one proposition an agent can investigate.
-A disc of radius r holds 3r(r+1)+1 cells, so the default r=6 gives one
-launch cell plus n=126 investigable locations.
+The central cell is the launch pad at the world origin, where every agent
+starts; it carries no proposition and is not stored. Every other cell
+corresponds to one proposition an agent can investigate, and ``HexGrid``
+holds only their centers. A disc of radius r holds 3r(r+1)+1 cells, so
+the default r=6 gives the launch pad plus n=126 investigable locations.
 """
 
 from __future__ import annotations
@@ -26,37 +27,25 @@ CIRCUMRADIUS = 10.0
 ARRIVAL_RADIUS = 1.0
 
 
-@dataclass(frozen=True)
-class HexCell:
-    """One arena cell. ``index`` is the 1-based proposition index; the
-    launch cell uses index 0."""
-
-    index: int
-    q: int
-    r: int
-    x: float
-    y: float
-
-
 class HexGrid:
-    """Immutable disc of hexagonal cells centered on the launch pad."""
+    """Immutable disc of hexagonal cells around the launch pad at (0, 0).
 
-    def __init__(self, cells: list[HexCell], launch: HexCell):
-        self.cells = tuple(cells)
-        self.launch = launch
-        # Cell centers indexed by proposition index - 1, read-only; plain
-        # tuples keep the per-tick lookups off the numpy scalar path.
-        self.centers = tuple((c.x, c.y) for c in cells)
+    ``centers[i - 1]`` is the world position of proposition cell i; plain
+    tuples keep the per-tick lookups off the numpy scalar path.
+    """
+
+    def __init__(self, centers: list[tuple[float, float]]):
+        self.centers = tuple(centers)
 
     @property
     def n(self) -> int:
         """Number of propositions (investigable cells)."""
-        return len(self.cells)
+        return len(self.centers)
 
     def center_of(self, index: int) -> tuple[float, float]:
         """World coordinates of the center of proposition cell ``index``."""
-        if not 1 <= index <= len(self.cells):
-            raise ValueError(f"cell index {index} out of range 1..{len(self.cells)}")
+        if not 1 <= index <= len(self.centers):
+            raise ValueError(f"cell index {index} out of range 1..{len(self.centers)}")
         return self.centers[index - 1]
 
 
@@ -71,24 +60,19 @@ def build_grid(hex_disc_radius: int) -> HexGrid:
     """Build the hexagonal disc arena.
 
     The disc of radius r contains every axial coordinate (q, r') with
-    max(|q|, |r'|, |q+r'|) <= r. The center cell becomes the launch pad;
-    the remaining 3r(r+1) cells are numbered 1..n in (r', q) order.
+    max(|q|, |r'|, |q+r'|) <= r. The center cell is the launch pad and is
+    left out; the centers of the remaining 3r(r+1) cells are numbered 1..n
+    in (r', q) order.
     """
     check("hex_disc_radius", hex_disc_radius)
 
-    coords = []
+    centers = []
     radius = hex_disc_radius
     for r in range(-radius, radius + 1):
         for q in range(max(-radius, -radius - r), min(radius, radius - r) + 1):
             if (q, r) != (0, 0):
-                coords.append((q, r))
-
-    cells = [
-        HexCell(i, q, r, *_axial_to_world(q, r))
-        for i, (q, r) in enumerate(coords, start=1)
-    ]
-    launch = HexCell(0, 0, 0, 0.0, 0.0)
-    return HexGrid(cells, launch)
+                centers.append(_axial_to_world(q, r))
+    return HexGrid(centers)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ class Rule(NamedTuple):
 
 
 RULES = {
-    # complete_graph holds m(m-1)/2 edges at about 0.15 KB each: 69 MB at m = 1000.
+    # complete_graph's rows hold m(m-1)/2 edges at about 8 bytes each: 4 MB at m = 1000.
     "m": Rule(True, 2, 1000),
-    # build_grid holds 3r(r+1) cells at about 0.39 KB each: 104 MB at r = 300.
+    # build_grid holds 3r(r+1) cell centers at about 0.14 KB each: 37 MB at r = 300.
     "hex_disc_radius": Rule(True, 1, 300),
     "C_r": Rule(False, positive=True),
     "C_f": Rule(False, 0.0, 1.0),

@@ -154,9 +154,12 @@ def _mean_ci95(cols: np.ndarray) -> tuple[list[float], list[float]]:
 
 
 def _cell_columns(config: dict) -> tuple[str, int, float, float, float]:
-    """(topology tag, connectivity k, C_r, C_f, epsilon) as written to the CSV outputs."""
-    kind = parse_topology(config["topology"])[0]
-    return kind, SimConfig(**config).connectivity(), config["C_r"], config["C_f"], config["epsilon"]
+    """(topology tag, connectivity k, C_r, C_f, epsilon) as written to the CSV
+    outputs; k is the interaction-network degree, m-1 when complete."""
+    kind, k = parse_topology(config["topology"])
+    if kind == "complete":
+        k = config["m"] - 1
+    return kind, k, config["C_r"], config["C_f"], config["epsilon"]
 
 
 @dataclass

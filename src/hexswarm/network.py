@@ -8,6 +8,8 @@ actually exchange beliefs only when its edge is present in both layers and
 both endpoints are currently broadcasting.
 
 Agents are identified by 0-based indices; edges are (i, j) tuples with i < j.
+An interaction network is stored once, as its rows of higher-id neighbours
+(``InteractionNetwork.upper``); its edge set is derived from them on read.
 The reference model in ``tests/reference_model.py`` pairs agents through
 the edge sets of ``physical_edges`` and ``eligible_edges``. The tick calls
 ``eligible_partners`` instead, which walks each broadcaster's higher-id
@@ -27,44 +29,39 @@ Edge = tuple[int, int]
 
 
 class InteractionNetwork:
-    """Immutable undirected graph over m agents.
+    """Immutable undirected graph over m agents, stored as its rows:
+    ``upper[i]`` holds the neighbours of i with a larger id, in ascending
+    order, so the rows together list every edge exactly once."""
 
-    ``edges`` holds the links as (i, j) tuples with i < j; ``upper[i]`` holds
-    the neighbours of i with a larger id, in ascending order, so the tuples
-    together list every edge exactly once.
-    """
+    def __init__(self, upper: Iterable[tuple[int, ...]]):
+        self.upper = tuple(upper)
 
-    def __init__(self, m: int, edges: Iterable[Edge], topology: str, k: int):
-        self.m = m
-        self.edges = frozenset(edges)
-        self.topology = topology
-        self.k = k
-        upper: list[list[int]] = [[] for _ in range(m)]
-        for i, j in self.edges:
-            upper[i].append(j)
-        self.upper = tuple(tuple(sorted(row)) for row in upper)
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """Every link as an (i, j) tuple with i < j, built from ``upper`` on each read."""
+        return frozenset((i, j) for i, row in enumerate(self.upper) for j in row)
 
 
 def ring_lattice(m: int, k: int) -> InteractionNetwork:
     """Regular ring lattice: agent i linked to its k nearest ring neighbours.
 
-    k must be even so each agent gets k/2 neighbours on either side.
+    k must be even so each agent gets k/2 neighbours on either side. Row i
+    holds i+1..i+k/2 (those below m), then m+i-k/2..m-1 (those of i-k/2..i-1
+    that wrap round past 0); as k <= m-2, the second run lies above the first.
     """
     check("m", m)
     check_lattice(m, k)
-    edges = set()
-    for i in range(m):
-        for d in range(1, k // 2 + 1):
-            j = (i + d) % m
-            edges.add((min(i, j), max(i, j)))
-    return InteractionNetwork(m, edges, "lattice", k)
+    ids = tuple(range(m))
+    half = k // 2
+    return InteractionNetwork(ids[i + 1 : i + half + 1] + ids[m + i - half :] for i in ids)
 
 
 def complete_graph(m: int) -> InteractionNetwork:
     """Totally-connected network, equivalent to a lattice with k = m - 1."""
     check("m", m)
-    edges = {(i, j) for i in range(m) for j in range(i + 1, m)}
-    return InteractionNetwork(m, edges, "complete", m - 1)
+    # Rows sliced from one tuple share its int objects: 8 bytes an edge.
+    ids = tuple(range(m))
+    return InteractionNetwork(ids[i + 1 :] for i in ids)
 
 
 def physical_edges(positions: Sequence[tuple[float, float]] | np.ndarray, radius: float) -> set[Edge]:
@@ -84,11 +81,11 @@ def eligible_edges(
     physical: set[Edge], interaction: InteractionNetwork, broadcasting: set[int]
 ) -> set[Edge]:
     """Edges present in both layers whose endpoints are both broadcasting."""
-    allowed = interaction.edges
+    upper = interaction.upper
     return {
         (i, j)
         for (i, j) in physical
-        if (i, j) in allowed and i in broadcasting and j in broadcasting
+        if j in upper[i] and i in broadcasting and j in broadcasting
     }
 
 

@@ -25,7 +25,7 @@ from hexswarm.agent import (
 )
 from hexswarm.belief import Belief
 from hexswarm.engine import SimConfig
-from hexswarm.environment import ARRIVAL_RADIUS, HexCell, HexGrid, _axial_to_world, build_grid
+from hexswarm.environment import ARRIVAL_RADIUS, HexGrid, _axial_to_world, build_grid
 from hexswarm.errors import RULES
 
 SPEEDS = (5.0, 3.7, 17.0)
@@ -110,8 +110,7 @@ def test_far_corners_of_the_largest_arena():
     derivation fails here."""
     R = RULES["hex_disc_radius"].high
     corners = [(R, 0), (-R, 0), (0, R), (0, -R), (R, -R), (-R, R), (R - 1, -(R // 2)), (1, 0), (-2, 1)]
-    cells = [HexCell(i, q, r, *_axial_to_world(q, r)) for i, (q, r) in enumerate(corners, start=1)]
-    grid = HexGrid(cells, HexCell(0, 0, 0, 0.0, 0.0))
+    grid = HexGrid([_axial_to_world(q, r) for q, r in corners])
     assert 5000 < max(abs(v) for c in grid.centers for v in c) < 2**13
     legs = [(x, y, dest) for x, y in [(0.0, 0.0), *grid.centers] for dest in range(1, grid.n + 1)
             if (x, y) != grid.centers[dest - 1]]

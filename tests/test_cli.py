@@ -175,6 +175,24 @@ class TestValidate:
         assert override.split("=")[0] in captured.err
         assert not (tmp_path / "out").exists()
 
+    # json's decoder raises RecursionError past about a thousand levels.
+    @pytest.mark.parametrize("subcommand", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_deeply_nested_config_exits_2_with_one_line(self, subcommand, source, tmp_path, capsys):
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text("[" * 1500 + "]" * 1500)
+            args = ["--config", str(path)]
+        else:
+            args = ["--set", "m=" + "[" * 5000 + "]" * 5000]
+        assert main([subcommand, *args, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith("nested too deeply to parse\n")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     # json keeps the last of a repeated key, which would drop the first value
     # silently; a run file, a sweep file and a nested object each repeat one.
     @pytest.mark.parametrize("subcommand", ["validate", "run", "trace", "sweep"])

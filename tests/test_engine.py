@@ -99,10 +99,6 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 parse_topology(tag)
 
-    def test_connectivity(self):
-        assert SimConfig(topology="complete", m=20).connectivity() == 19
-        assert SimConfig(topology="lattice:4", m=20).connectivity() == 4
-
 
 class TestInitialize:
     def test_reference_scale(self):
@@ -121,7 +117,7 @@ class TestInitialize:
 
     def test_lattice_topology_applied(self):
         state = initialize(SimConfig(m=20, hex_disc_radius=2, topology="lattice:2", seed=0))
-        assert state.network.edges == ring_lattice(20, 2).edges
+        assert state.network.upper == ring_lattice(20, 2).upper
 
     def test_same_seed_identical_state(self):
         a = initialize(SimConfig(**FAST))

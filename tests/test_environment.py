@@ -10,6 +10,7 @@ from hexswarm.environment import (
     ARRIVAL_RADIUS,
     CIRCUMRADIUS,
     NoiseModel,
+    _axial_to_world,
     build_grid,
     observe,
     sample_ground_truth,
@@ -35,28 +36,42 @@ class TestBuildGrid:
         assert grid.n == props
 
     def test_proposition_indices_are_gapless(self):
+        # Cell i's center maps back to one axial coordinate of the disc, the
+        # launch pad's excepted, and the cells run in (r, q) order.
         grid = build_grid(6)
-        assert [c.index for c in grid.cells] == list(range(1, 127))
+        axial = []
+        for i in range(1, grid.n + 1):
+            x, y = grid.center_of(i)
+            r = round(y / (1.5 * CIRCUMRADIUS))
+            q = round(x / (math.sqrt(3) * CIRCUMRADIUS) - r / 2)
+            assert _axial_to_world(q, r) == (x, y) == grid.centers[i - 1]
+            assert max(abs(q), abs(r), abs(q + r)) <= 6
+            axial.append((r, q))
+        assert axial == sorted(axial)
+        assert len(set(axial)) == 126 and (0, 0) not in axial
 
     def test_centers_distinct(self):
         grid = build_grid(6)
-        centers = {(c.x, c.y) for c in grid.cells} | {(grid.launch.x, grid.launch.y)}
-        assert len(centers) == 127
+        assert len(set(grid.centers)) == len(grid.centers) == 126
 
     def test_launch_at_origin_without_proposition(self):
         grid = build_grid(3)
-        assert (grid.launch.x, grid.launch.y) == (0.0, 0.0)
-        assert grid.launch.index == 0
-        assert all((c.q, c.r) != (0, 0) for c in grid.cells)
+        assert _axial_to_world(0, 0) == (0.0, 0.0)
+        assert (0.0, 0.0) not in grid.centers
 
     def test_adjacent_centers_spacing(self):
         grid = build_grid(2)
-        by_axial = {(c.q, c.r): (c.x, c.y) for c in grid.cells}
-        by_axial[(0, 0)] = (0.0, 0.0)
         expected = math.sqrt(3) * CIRCUMRADIUS
         for dq, dr in [(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)]:
-            x, y = by_axial[(dq, dr)]
+            x, y = _axial_to_world(dq, dr)
+            assert (x, y) in grid.centers
             assert math.hypot(x, y) == pytest.approx(expected, abs=1e-12)
+        # The nearest neighbour of every cell, the launch pad included, is
+        # one spacing away.
+        points = [(0.0, 0.0), *grid.centers]
+        for p in points:
+            nearest = min(math.dist(p, o) for o in points if o != p)
+            assert nearest == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ConfigError, match="hex_disc_radius"):

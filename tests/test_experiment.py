@@ -169,6 +169,12 @@ class TestAggregate:
         (summary,) = aggregate([[fake_record(topology="lattice:4", m=20)]])
         assert summary.k == 4
 
+    def test_cell_columns_connectivity(self):
+        # k is the interaction-network degree: m-1 when complete.
+        config = fake_record(m=20).config
+        assert experiment._cell_columns(config)[:2] == ("complete", 19)
+        assert experiment._cell_columns({**config, "topology": "lattice:4"})[:2] == ("lattice", 4)
+
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             aggregate([[]])

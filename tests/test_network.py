@@ -84,7 +84,6 @@ class TestCompleteGraph:
         net = complete_graph(20)
         assert len(net.edges) == 190
         assert degrees(net) == dict.fromkeys(range(20), 19)
-        assert net.k == 19
 
     def test_pair(self):
         assert complete_graph(2).edges == {(0, 1)}
@@ -182,6 +181,16 @@ point = st.one_of(
 )
 
 
+def rows_as_edges(net):
+    """``net.upper`` as an edge set, after checking that it has one row per
+    agent, each strictly ascending and above its own id, with no pair twice."""
+    m = len(net.upper)
+    for i, js in enumerate(net.upper):
+        assert isinstance(js, tuple)
+        assert list(js) == sorted(set(js)) and all(i < j < m for j in js)
+    return {(i, j) for i, js in enumerate(net.upper) for j in js}
+
+
 def partner_pairs(ids, pts, radius, net):
     """eligible_partners' result as an edge set, after checking that every
     list is nonempty, strictly ascending and mirrored in its partners' lists."""
@@ -200,11 +209,20 @@ class TestInteractionMatrix:
 
     @pytest.mark.parametrize("net", [ring_lattice(10, 4), complete_graph(5), ring_lattice(4, 2)])
     def test_matches_edges(self, net):
-        assert len(net.upper) == net.m
-        for i, js in enumerate(net.upper):
-            assert list(js) == sorted(set(js)) and all(j > i for j in js)
-        assert sum(map(len, net.upper)) == len(net.edges)
-        assert {(i, j) for i, js in enumerate(net.upper) for j in js} == net.edges
+        assert sorted(degrees(net)) == list(range(len(net.upper)))
+        assert rows_as_edges(net) == net.edges
+
+    def test_ring_lattice_matches_ring_distance(self):
+        # Both parities of m, and k = m-2, where the two sides of the ring meet.
+        for m in range(4, 41):
+            for k in range(2, m - 1, 2):
+                expected = {(i, j) for i in range(m) for j in range(i + 1, m) if min(j - i, m - j + i) <= k // 2}
+                assert rows_as_edges(ring_lattice(m, k)) == expected, (m, k)
+
+    def test_complete_graph_links_every_pair(self):
+        for m in range(2, 31):
+            expected = {(i, j) for i in range(m) for j in range(m) if i < j}
+            assert rows_as_edges(complete_graph(m)) == expected, m
 
     def test_read_only(self):
         net = complete_graph(3)
