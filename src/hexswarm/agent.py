@@ -82,12 +82,12 @@ _SET_BITS = tuple(bytes(j for j in range(8) if b >> j & 1) for b in range(256))
 class AgentState:
     """Plain mutable state of one agent.
 
-    ``target`` is the proposition the agent is travelling to investigate
-    (None once the belief is fully certain); ``waypoint`` is the wander
-    destination used instead while saturated. ``landing`` is the tick on
-    which a certified leg (``certify_leg``) lands, or -1; ``origin`` and
-    ``departure`` are where that leg starts and the tick of its first step,
-    which ``replay_leg`` steps from.
+    ``dest`` is the one cell the agent heads for: the target proposition it
+    travels to investigate, or once saturated its wander waypoint (None
+    until the first is drawn). ``landing`` is the tick on which a certified
+    leg (``certify_leg``) lands, or -1; ``origin`` and ``departure`` are
+    where that leg starts and the tick of its first step, which
+    ``replay_leg`` steps from.
     """
 
     id: int
@@ -95,8 +95,7 @@ class AgentState:
     y: float
     belief: Belief
     mode: Mode = EXPLORING
-    target: int | None = None
-    waypoint: int | None = None
+    dest: int | None = None
     speed: float = DEFAULT_SPEED
     landing: int = -1
     origin: tuple[float, float] = (0.0, 0.0)
@@ -149,17 +148,18 @@ def on_arrival(
     RNG is consumed in a fixed order: observation flip, then target draw,
     then the broadcast roll. An agent that was already broadcasting stays
     broadcasting (the communicating state ends only through fusion); one
-    whose belief becomes fully certain saturates instead.
+    whose belief becomes fully certain saturates instead, with no waypoint
+    yet. A saturated agent has no target, so it cannot arrive.
     """
-    if agent.target is None:
+    if agent.mode is SATURATED or agent.dest is None:
         raise ValueError(f"agent {agent.id} arrived without a target")
-    evidence = observe(agent.target, truth, noise, rng)
+    evidence = observe(agent.dest, truth, noise, rng)
     agent.belief = update_with_evidence(agent.belief, evidence)
     if agent.belief.is_certain():
         agent.mode = SATURATED
-        agent.target = None
+        agent.dest = None
         return agent
-    agent.target = select_target(agent.belief, rng)
+    agent.dest = select_target(agent.belief, rng)
     if agent.mode is EXPLORING and rng.random() < comm_freq:
         agent.mode = BROADCASTING
     return agent
@@ -170,39 +170,36 @@ def on_fusion(agent: AgentState, partner_belief: Belief, rng: np.random.Generato
 
     Fusing ends the communicating state: the agent drops back to exploring
     unless the fused belief is fully certain, in which case it saturates.
-    If fusion settled the proposition the agent was travelling to (or the
-    agent had none), a fresh target is drawn.
+    One that saturates here has no waypoint yet; one already saturated
+    keeps its waypoint, on which its later draws depend. An agent left
+    exploring draws a fresh target if it was saturated (a waypoint is not a
+    target) or if fusion settled the proposition it was travelling to.
     """
     fused = fuse_beliefs(agent.belief, partner_belief)
     agent.belief = fused
+    wandering = agent.mode is SATURATED
     if fused.is_certain():
-        agent.mode = SATURATED
-        agent.target = None
+        if not wandering:
+            agent.mode = SATURATED
+            agent.dest = None
         return agent
     agent.mode = EXPLORING
-    agent.waypoint = None
-    if agent.target is None or fused.known >> (agent.target - 1) & 1:
-        agent.target = select_target(fused, rng)
+    if wandering or fused.known >> (agent.dest - 1) & 1:
+        agent.dest = select_target(fused, rng)
     return agent
 
 
 def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator) -> AgentState:
     """Move up to ``speed`` units straight toward the current destination.
 
-    Saturated agents head for a randomly drawn cell center and redraw it
-    on arrival; everyone else heads for their target cell. Movement never
-    overshoots the destination. This is the reference for the movement
-    half of ``move_agents``, which the tick uses instead, and the step
-    ``replay_leg`` repeats.
+    A saturated agent draws a random cell as its waypoint when it has none
+    and redraws it on reaching it. Movement never overshoots ``dest``.
+    This is the reference for the movement half of ``move_agents``, which
+    the tick uses instead, and the step ``replay_leg`` repeats.
     """
-    if agent.mode is SATURATED:
-        if agent.waypoint is None:
-            agent.waypoint = int(rng.integers(grid.n)) + 1
-        dest = agent.waypoint
-    else:
-        dest = agent.target
-        if dest is None:
-            return agent
+    dest = agent.dest
+    if dest is None:  # only a saturated agent, before its first waypoint
+        dest = agent.dest = int(rng.integers(grid.n)) + 1
     cx, cy = grid.center_of(dest)
     dx = cx - agent.x
     dy = cy - agent.y
@@ -211,7 +208,7 @@ def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator)
         agent.x = cx
         agent.y = cy
         if agent.mode is SATURATED:
-            agent.waypoint = int(rng.integers(grid.n)) + 1
+            agent.dest = int(rng.integers(grid.n)) + 1
     else:
         scale = agent.speed / dist
         agent.x += dx * scale
@@ -222,11 +219,13 @@ def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator)
 def at_target(agent: AgentState, grid: HexGrid) -> bool:
     """True when the agent is within the arrival radius of its target cell.
 
-    This is the reference for the arrival half of ``move_agents``.
+    A saturated agent has no target (its ``dest`` is a waypoint), so it is
+    never at one. This is the reference for the arrival half of
+    ``move_agents``.
     """
-    if agent.target is None:
+    if agent.mode is SATURATED:
         return False
-    cx, cy = grid.center_of(agent.target)
+    cx, cy = grid.center_of(agent.dest)
     return math.hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS
 
 
@@ -236,30 +235,26 @@ def certify_leg(
     """Every place a leg starts calls this: skip the leg's steps if the
     agent's mode is in ``certified`` (see the ``engine`` module docstring).
 
-    The leg runs from the agent's position to the center of its waypoint
-    (saturated; none before it is drawn) or target, and its first step is
-    taken on tick ``start``. It is certified when its closed form is far
-    enough from every threshold (see ``_LEG_MARGIN``) that stepping would
-    snap onto the center on tick ``start + k`` and, for a target, arrive
-    nowhere before. The agent is then placed on the center with
-    ``landing = start + k``, and ``move_agents`` passes it over until that
-    tick, where it snaps from distance 0 with the same draws as a stepped
-    leg. Otherwise the agent is left as it was and steps. A certified agent
-    also keeps its position as the leg's ``origin`` and ``start`` as its
-    ``departure``, from which ``replay_leg`` steps.
+    The leg runs from the agent's position to the center of its ``dest``
+    (none before a saturated agent's first waypoint is drawn), and its
+    first step is taken on tick ``start``. It is certified when its closed
+    form is far enough from every threshold (see ``_LEG_MARGIN``) that
+    stepping would snap onto the center on tick ``start + k`` and, for a
+    target, arrive nowhere before. The agent is then placed on the center
+    with ``landing = start + k``, and ``move_agents`` passes it over until
+    that tick, where it snaps from distance 0 with the same draws as a
+    stepped leg. Otherwise the agent is left as it was and steps. A
+    certified agent also keeps its position as the leg's ``origin`` and
+    ``start`` as its ``departure``, from which ``replay_leg`` steps.
     """
     mode = agent.mode
     if mode not in certified:
         return
-    if mode is SATURATED:
-        dest = agent.waypoint
-        if dest is None:
-            return
-        low = _LEG_MARGIN
-    else:
-        dest = agent.target
-        # The last step ends rest from the target: no arrival before landing.
-        low = ARRIVAL_RADIUS + _LEG_MARGIN
+    dest = agent.dest
+    if dest is None:
+        return
+    # The last step ends rest from a target: no arrival before landing.
+    low = _LEG_MARGIN if mode is SATURATED else ARRIVAL_RADIUS + _LEG_MARGIN
     cx, cy = centers[dest - 1]
     speed = agent.speed
     # The expression the leg's first step computes.
@@ -314,13 +309,12 @@ def move_agents(
     in a social run it makes no call. With the defaults, and agents built
     with ``landing = -1``, every agent steps.
 
-    A saturated agent carries no target (``on_arrival`` and ``on_fusion``
-    clear it), so it never arrives. Any other agent holds a target (no
-    engine path leaves it without one) and moves toward it, so its arrival
-    test needs no ``hypot``: one that snapped onto the center sits at
-    distance 0, and one that stepped from farther than ``speed +
-    ARRIVAL_RADIUS + _LEG_MARGIN`` is out of reach. Only the band in
-    between takes the exact ``at_target`` test.
+    A saturated agent's ``dest`` is a waypoint, not a target, so it never
+    arrives. Any other agent holds a target (no engine path leaves it
+    without one), so its arrival test needs no ``hypot``: one that snapped
+    onto the center sits at distance 0, and one that stepped from farther
+    than ``speed + ARRIVAL_RADIUS + _LEG_MARGIN`` is out of reach. Only the
+    band in between takes the exact ``at_target`` test.
 
     Destinations are proposition indices the agents hold, always in
     1..n, so centers are read without ``center_of``'s range check.
@@ -336,16 +330,12 @@ def move_agents(
     for agent in agents:
         if agent.landing > now:
             continue
-        saturated = agent.mode is SATURATED
-        if saturated:
-            dest = agent.waypoint
-            if dest is None:
-                dest = agent.waypoint = int(rng.integers(n)) + 1
-                certify_leg(agent, centers, now, certified)
-                if agent.landing > now:
-                    continue
-        else:
-            dest = agent.target
+        dest = agent.dest
+        if dest is None:  # a saturated agent's first waypoint
+            dest = agent.dest = int(rng.integers(n)) + 1
+            certify_leg(agent, centers, now, certified)
+            if agent.landing > now:
+                continue
         cx, cy = centers[dest - 1]
         dx = cx - agent.x
         dy = cy - agent.y
@@ -354,8 +344,8 @@ def move_agents(
         if dist <= speed:
             agent.x = cx
             agent.y = cy
-            if saturated:
-                agent.waypoint = int(rng.integers(n)) + 1
+            if agent.mode is SATURATED:
+                agent.dest = int(rng.integers(n)) + 1
                 if saturated_certified:
                     certify_leg(agent, centers, now + 1, certified)
             else:  # snapped onto the target's center
@@ -364,7 +354,7 @@ def move_agents(
             scale = speed / dist
             agent.x += dx * scale
             agent.y += dy * scale
-            if saturated or dist > speed + reach:
+            if dist > speed + reach or agent.mode is SATURATED:
                 continue
             if hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS:
                 arrived.append(agent)

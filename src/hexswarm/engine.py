@@ -32,8 +32,9 @@ leaves no observable trace because nothing in them consumes randomness.
 ``run`` checks for convergence only after a tick with an arrival or a
 fusion, the only events that change a mode or a belief.
 
-An asocial run whose agents are all saturated can no longer change: no
-agent has a target, so none arrives, and nobody broadcasts. If it has not
+An asocial run whose agents are all saturated can no longer change: a
+saturated agent heads for a wander waypoint, not a target, so none
+arrives, and nobody broadcasts. If it has not
 converged by then it never will, so ``run`` sets ``SimState.idle`` and
 every later tick only counts: ``tick`` advances the tick counter and
 returns, agents stop wandering and the generator is no longer drawn
@@ -261,7 +262,7 @@ def initialize(config: SimConfig) -> SimState:
         for i in range(config.m)
     ]
     for agent in agents:
-        agent.target = select_target(agent.belief, rng)
+        agent.dest = select_target(agent.belief, rng)
     return SimState(config, grid, truth, network, noise, agents, rng)
 
 

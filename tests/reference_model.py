@@ -44,29 +44,33 @@ def pick_target(belief, rng):
 
 
 def adopt(agent, belief):
-    """Take a belief; say if it is uncertain, else saturate the agent."""
+    """Take a belief; say if it is uncertain, else saturate the agent: its
+    target is dropped, and a wanderer keeps its waypoint."""
     agent.belief = belief
     if UNKNOWN in belief.codes:
         return True
-    agent.mode, agent.target = Mode.SATURATED, None
+    if agent.mode is not Mode.SATURATED:
+        agent.mode, agent.dest = Mode.SATURATED, None
     return False
 
 
 def arrive(agent, state):
     """Observe the target, retarget, maybe start broadcasting."""
     rng, cfg = state.rng, state.config
-    if adopt(agent, fuse(agent.belief, evidence(agent.target, state.truth, cfg.epsilon, rng))):
-        agent.target = pick_target(agent.belief, rng)
+    if adopt(agent, fuse(agent.belief, evidence(agent.dest, state.truth, cfg.epsilon, rng))):
+        agent.dest = pick_target(agent.belief, rng)
         if agent.mode is Mode.EXPLORING and rng.random() < cfg.C_f:
             agent.mode = Mode.BROADCASTING
 
 
 def fuse_with(agent, partner, rng):
-    """Fusing ends broadcasting; a target now known, or none, is redrawn."""
+    """Fusing ends broadcasting; a wanderer's waypoint, or a target now
+    known, is replaced by a fresh target."""
+    wanderer = agent.mode is Mode.SATURATED
     if adopt(agent, fuse(agent.belief, partner)):
-        agent.mode, agent.waypoint = Mode.EXPLORING, None
-        if agent.target is None or agent.belief.codes[agent.target - 1] != UNKNOWN:
-            agent.target = pick_target(agent.belief, rng)
+        agent.mode = Mode.EXPLORING
+        if wanderer or agent.belief.codes[agent.dest - 1] != UNKNOWN:
+            agent.dest = pick_target(agent.belief, rng)
 
 
 def move(agents, grid, rng):
@@ -114,7 +118,7 @@ def initialize(config):
     network = complete_graph(config.m) if kind == "complete" else ring_lattice(config.m, k)
     agents = [AgentState(i, 0.0, 0.0, Belief.unknown(grid.n), speed=config.speed) for i in range(config.m)]
     for agent in agents:
-        agent.target = pick_target(agent.belief, rng)
+        agent.dest = pick_target(agent.belief, rng)
     return SimState(config, grid, truth, network, NoiseModel(config.epsilon), agents, rng)
 
 

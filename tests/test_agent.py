@@ -20,12 +20,12 @@ from hexswarm.agent import (
     on_fusion,
     select_target,
 )
-from hexswarm.belief import Belief, GroundTruth
+from hexswarm.belief import UNKNOWN, Belief, GroundTruth
 from hexswarm.environment import ARRIVAL_RADIUS, NoiseModel, build_grid
 
 
-def make_agent(belief, mode=Mode.EXPLORING, target=None, x=0.0, y=0.0, speed=5.0):
-    return AgentState(id=0, x=x, y=y, belief=belief, mode=mode, target=target, speed=speed)
+def make_agent(belief, mode=Mode.EXPLORING, dest=None, x=0.0, y=0.0, speed=5.0):
+    return AgentState(id=0, x=x, y=y, belief=belief, mode=mode, dest=dest, speed=speed)
 
 
 class TestSelectTarget:
@@ -61,7 +61,7 @@ class TestSelectTarget:
 class TestOnArrival:
     def test_noise_free_observation_lands(self):
         truth = GroundTruth.from_bools([True, False, True])
-        agent = make_agent(Belief.unknown(3), target=1)
+        agent = make_agent(Belief.unknown(3), dest=1)
         on_arrival(agent, truth, NoiseModel(0.0), 0.0, np.random.default_rng(0))
         assert agent.belief.value_at(1) is truth.value_at(1)
         assert agent.belief.certainty() == 1
@@ -70,7 +70,7 @@ class TestOnArrival:
         truth = GroundTruth.from_bools([True, False, True])
         rng = np.random.default_rng(3)
         for _ in range(50):
-            agent = make_agent(Belief.unknown(3), target=2)
+            agent = make_agent(Belief.unknown(3), dest=2)
             on_arrival(agent, truth, NoiseModel(0.0), 0.0, rng)
             assert agent.mode is Mode.EXPLORING
 
@@ -78,27 +78,27 @@ class TestOnArrival:
         truth = GroundTruth.from_bools([True, False, True])
         rng = np.random.default_rng(3)
         for _ in range(50):
-            agent = make_agent(Belief.unknown(3), target=2)
+            agent = make_agent(Belief.unknown(3), dest=2)
             on_arrival(agent, truth, NoiseModel(0.0), 1.0, rng)
             assert agent.mode is Mode.BROADCASTING
 
     def test_new_target_is_uncertain_index(self):
         truth = GroundTruth.from_bools([True, False, True])
-        agent = make_agent(Belief.unknown(3), target=2)
+        agent = make_agent(Belief.unknown(3), dest=2)
         on_arrival(agent, truth, NoiseModel(0.0), 0.0, np.random.default_rng(1))
-        assert agent.target in (1, 3)
+        assert agent.dest in (1, 3)
 
     def test_saturation_on_last_observation(self):
         truth = GroundTruth.from_bools([True, False])
-        agent = make_agent(Belief.from_string("1u"), target=2)
+        agent = make_agent(Belief.from_string("1u"), dest=2)
         on_arrival(agent, truth, NoiseModel(0.0), 1.0, np.random.default_rng(0))
         assert agent.mode is Mode.SATURATED
-        assert agent.target is None
+        assert agent.dest is None
         assert agent.belief.is_certain()
 
     def test_broadcasting_persists_through_arrival(self):
         truth = GroundTruth.from_bools([True, False, True])
-        agent = make_agent(Belief.unknown(3), mode=Mode.BROADCASTING, target=1)
+        agent = make_agent(Belief.unknown(3), mode=Mode.BROADCASTING, dest=1)
         on_arrival(agent, truth, NoiseModel(0.0), 0.0, np.random.default_rng(0))
         assert agent.mode is Mode.BROADCASTING
 
@@ -107,101 +107,116 @@ class TestOnArrival:
         agent = make_agent(Belief.unknown(1))
         with pytest.raises(ValueError, match="without a target"):
             on_arrival(agent, truth, NoiseModel(0.0), 0.0, np.random.default_rng(0))
+        # A saturated agent's dest is a waypoint, not a target.
+        agent = make_agent(Belief.from_string("1"), mode=Mode.SATURATED, dest=1)
+        with pytest.raises(ValueError, match="without a target"):
+            on_arrival(agent, truth, NoiseModel(0.0), 0.0, np.random.default_rng(0))
 
     def test_certainty_never_decreases(self):
         truth = GroundTruth.from_bools([True] * 6)
         rng = np.random.default_rng(9)
-        agent = make_agent(Belief.unknown(6), target=1)
+        agent = make_agent(Belief.unknown(6), dest=1)
         for _ in range(6):
             before = agent.belief.certainty()
             on_arrival(agent, truth, NoiseModel(0.5), 0.5, rng)
             assert agent.belief.certainty() >= before
-            if agent.target is None:
+            if agent.dest is None:
                 break
         assert agent.mode is Mode.SATURATED
 
 
 class TestOnFusion:
     def test_disagreement_demotes_to_exploring(self):
-        agent = make_agent(Belief.from_string("1u"), mode=Mode.BROADCASTING, target=2)
+        agent = make_agent(Belief.from_string("1u"), mode=Mode.BROADCASTING, dest=2)
         on_fusion(agent, Belief.from_string("0u"), np.random.default_rng(0))
         assert agent.belief == Belief.from_string("uu")
         assert agent.mode is Mode.EXPLORING
-        assert agent.target in (1, 2)
+        assert agent.dest in (1, 2)
 
     def test_identical_saturated_stays_saturated(self):
-        agent = make_agent(Belief.from_string("11"), mode=Mode.SATURATED)
-        agent.waypoint = 4
+        agent = make_agent(Belief.from_string("11"), mode=Mode.SATURATED, dest=4)
         on_fusion(agent, Belief.from_string("11"), np.random.default_rng(0))
         assert agent.belief == Belief.from_string("11")
         assert agent.mode is Mode.SATURATED
-        assert agent.waypoint == 4
+        assert agent.dest == 4
 
     def test_fill_in_saturates(self):
-        agent = make_agent(Belief.from_string("u1"), mode=Mode.BROADCASTING, target=1)
+        agent = make_agent(Belief.from_string("u1"), mode=Mode.BROADCASTING, dest=1)
         on_fusion(agent, Belief.from_string("01"), np.random.default_rng(0))
         assert agent.belief == Belief.from_string("01")
         assert agent.mode is Mode.SATURATED
-        assert agent.target is None
+        assert agent.dest is None
 
     def test_target_reselected_when_settled_by_fusion(self):
-        agent = make_agent(Belief.from_string("uu1"), mode=Mode.BROADCASTING, target=1)
+        agent = make_agent(Belief.from_string("uu1"), mode=Mode.BROADCASTING, dest=1)
         on_fusion(agent, Belief.from_string("0u1"), np.random.default_rng(0))
         assert agent.belief == Belief.from_string("0u1")
-        assert agent.target == 2
+        assert agent.dest == 2
 
     def test_target_kept_while_still_uncertain(self):
-        agent = make_agent(Belief.from_string("uu"), mode=Mode.BROADCASTING, target=2)
+        agent = make_agent(Belief.from_string("uu"), mode=Mode.BROADCASTING, dest=2)
         on_fusion(agent, Belief.from_string("1u"), np.random.default_rng(0))
-        assert agent.target == 2
+        assert agent.dest == 2
 
     def test_saturated_demoted_by_disagreement(self):
-        agent = make_agent(Belief.from_string("10"), mode=Mode.SATURATED)
-        agent.waypoint = 2
+        # Its waypoint, cell 2, is not a target: the lone Unknown is drawn.
+        agent = make_agent(Belief.from_string("10"), mode=Mode.SATURATED, dest=2)
         on_fusion(agent, Belief.from_string("00"), np.random.default_rng(0))
         assert agent.belief == Belief.from_string("u0")
         assert agent.mode is Mode.EXPLORING
-        assert agent.waypoint is None
-        assert agent.target == 1
+        assert agent.dest == 1
 
     def test_certainty_decreases_only_on_disagreement(self):
-        agent = make_agent(Belief.from_string("10u"), mode=Mode.BROADCASTING, target=3)
+        agent = make_agent(Belief.from_string("10u"), mode=Mode.BROADCASTING, dest=3)
         before = agent.belief.certainty()
         on_fusion(agent, Belief.from_string("10u"), np.random.default_rng(0))
         assert agent.belief.certainty() == before
 
 
-class TestTargetInvariant:
-    """An agent is saturated exactly when it carries no target, after every
-    ``on_arrival`` and ``on_fusion``, whatever mode it had: ``move_agents``
-    never tests a saturated agent for an arrival."""
+class TestModeInvariant:
+    """Over any sequence of ``on_arrival`` and ``on_fusion`` calls, as the
+    engine makes them, an agent is saturated exactly when its belief is
+    certain, and any other agent heads for a target it is uncertain about.
+    So the one ``dest`` field is a target exactly when the agent is not
+    saturated, and ``move_agents`` never tests a saturated agent for an
+    arrival. A saturated agent that stays saturated keeps its waypoint."""
 
-    beliefs = st.lists(st.integers(0, 2), min_size=1, max_size=10).map(Belief)
-
-    @given(belief=beliefs, mode=st.sampled_from([Mode.EXPLORING, Mode.BROADCASTING]), data=st.data(),
+    @settings(max_examples=200, deadline=None)
+    @given(codes=st.lists(st.integers(0, 2), min_size=1, max_size=10), data=st.data(),
            epsilon=st.sampled_from([0.0, 0.3, 0.5]), comm_freq=st.sampled_from([0.0, 0.5, 1.0]),
            seed=st.integers(0, 2**32 - 1))
-    def test_after_arrival(self, belief, mode, data, epsilon, comm_freq, seed):
-        target = data.draw(st.integers(1, belief.n))
-        truth = GroundTruth.from_bools(data.draw(st.lists(st.booleans(), min_size=belief.n, max_size=belief.n)))
-        agent = make_agent(belief, mode=mode, target=target)
-        on_arrival(agent, truth, NoiseModel(epsilon), comm_freq, np.random.default_rng(seed))
-        assert (agent.mode is Mode.SATURATED) == (agent.target is None)
-
-    @given(belief=beliefs, mode=st.sampled_from(list(Mode)), data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_after_fusion(self, belief, mode, data, seed):
-        partner = Belief(data.draw(st.lists(st.integers(0, 2), min_size=belief.n, max_size=belief.n)))
-        target = None if mode is Mode.SATURATED else data.draw(st.none() | st.integers(1, belief.n))
-        agent = make_agent(belief, mode=mode, target=target)
-        on_fusion(agent, partner, np.random.default_rng(seed))
-        assert (agent.mode is Mode.SATURATED) == (agent.target is None)
+    def test_saturated_exactly_when_certain(self, codes, data, epsilon, comm_freq, seed):
+        belief, n = Belief(codes), len(codes)
+        truth = GroundTruth.from_bools(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if belief.is_certain():
+            mode, dest = Mode.SATURATED, data.draw(st.none() | st.integers(1, n))
+        else:
+            mode = data.draw(st.sampled_from([Mode.EXPLORING, Mode.BROADCASTING]))
+            dest = data.draw(st.sampled_from([i for i in range(1, n + 1) if belief.value_at(i) is UNKNOWN]))
+        agent = make_agent(belief, mode=mode, dest=dest)
+        rng = np.random.default_rng(seed)
+        partners = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(Belief)
+        for step in data.draw(st.lists(st.none() | partners, min_size=1, max_size=12)):
+            wandering, waypoint = agent.mode is Mode.SATURATED, agent.dest
+            if step is None:
+                if wandering:
+                    continue  # a saturated agent never arrives
+                on_arrival(agent, truth, NoiseModel(epsilon), comm_freq, rng)
+            else:
+                on_fusion(agent, step, rng)
+            assert (agent.mode is Mode.SATURATED) == agent.belief.is_certain()
+            if agent.mode is not Mode.SATURATED:
+                assert agent.dest is not None
+                assert agent.belief.value_at(agent.dest) is UNKNOWN
+            elif wandering:
+                assert agent.dest == waypoint
 
 
 class TestAdvancePosition:
     def test_lands_exactly_when_close(self):
         grid = build_grid(2)
         cx, cy = grid.center_of(5)
-        agent = make_agent(Belief.unknown(grid.n), target=5, x=cx - 3.0, y=cy)
+        agent = make_agent(Belief.unknown(grid.n), dest=5, x=cx - 3.0, y=cy)
         advance_position(agent, grid, np.random.default_rng(0))
         assert (agent.x, agent.y) == (cx, cy)
         assert at_target(agent, grid)
@@ -209,7 +224,7 @@ class TestAdvancePosition:
     def test_halfway_when_far(self):
         grid = build_grid(2)
         cx, cy = grid.center_of(5)
-        agent = make_agent(Belief.unknown(grid.n), target=5, x=cx - 10.0, y=cy)
+        agent = make_agent(Belief.unknown(grid.n), dest=5, x=cx - 10.0, y=cy)
         advance_position(agent, grid, np.random.default_rng(0))
         assert agent.x == pytest.approx(cx - 5.0)
         assert agent.y == pytest.approx(cy)
@@ -219,15 +234,15 @@ class TestAdvancePosition:
         agent = make_agent(Belief.from_string("1" * grid.n), mode=Mode.SATURATED)
         rng = np.random.default_rng(1)
         advance_position(agent, grid, rng)
-        first = agent.waypoint
+        first = agent.dest
         assert first is not None
         # walk until the waypoint is reached and redrawn
         for _ in range(100):
-            before = agent.waypoint
+            before = agent.dest
             cx, cy = grid.center_of(before)
             advance_position(agent, grid, rng)
             if (agent.x, agent.y) == (cx, cy):
-                assert agent.waypoint is not None
+                assert agent.dest is not None
                 return
         pytest.fail("saturated agent never reached its waypoint")
 
@@ -239,7 +254,7 @@ class TestAdvancePosition:
     )
     def test_displacement_bounded_by_speed(self, x, y, speed, target):
         grid = build_grid(2)
-        agent = make_agent(Belief.unknown(grid.n), target=target, x=x, y=y, speed=speed)
+        agent = make_agent(Belief.unknown(grid.n), dest=target, x=x, y=y, speed=speed)
         advance_position(agent, grid, np.random.default_rng(0))
         moved = math.hypot(agent.x - x, agent.y - y)
         assert moved <= speed + 1e-9
@@ -251,17 +266,16 @@ def populations(draw):
     comparisons are closest: on cell centers, ARRIVAL_RADIUS (or one step
     plus ARRIVAL_RADIUS, or that plus or minus twice move_agents' rounding
     margin) short of their destination, and with speeds equal to the
-    distance to it. A saturated agent carries no target and any other
-    agent one, as ``TestTargetInvariant`` checks of every mode change."""
+    distance to it. A saturated agent carries a waypoint or none yet, and
+    any other agent a target, as ``TestModeInvariant`` checks of every mode
+    change."""
     grid = build_grid(draw(st.integers(1, 3)))
     n = grid.n
     cells = st.integers(1, n)
     agents = []
     for i in range(draw(st.integers(1, 12))):
         mode = draw(st.sampled_from(list(Mode)))
-        target = None if mode is Mode.SATURATED else draw(cells)
-        waypoint = draw(st.none() | cells)
-        dest = waypoint if mode is Mode.SATURATED else target
+        dest = draw(st.none() | cells) if mode is Mode.SATURATED else draw(cells)
         speed = draw(st.sampled_from([0.5, 1.0, 5.0, 17.0]) | st.floats(0.1, 40))
         anchor = grid.center_of(draw(cells)) if dest is None else grid.center_of(dest)
         dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.28, 0.96)]))
@@ -275,8 +289,7 @@ def populations(draw):
         if draw(st.booleans()):
             # dist == speed exactly, whenever the destination is not drawn in the pass
             speed = math.hypot(anchor[0] - x, anchor[1] - y) or speed
-        agents.append(AgentState(id=i, x=x, y=y, belief=Belief.unknown(n), mode=mode,
-                                 target=target, waypoint=waypoint, speed=speed))
+        agents.append(AgentState(id=i, x=x, y=y, belief=Belief.unknown(n), mode=mode, dest=dest, speed=speed))
     return grid, agents
 
 
@@ -293,16 +306,14 @@ class TestMoveAgents:
 
         assert [a.id for a in arrived] == expected_arrived
         assert all(a is agents[a.id] for a in arrived)
-        assert [(a.x, a.y, a.waypoint, a.target, a.mode) for a in agents] == [
-            (a.x, a.y, a.waypoint, a.target, a.mode) for a in expected
-        ]
+        assert [(a.x, a.y, a.dest, a.mode) for a in agents] == [(a.x, a.y, a.dest, a.mode) for a in expected]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_arrival_at_exactly_the_radius(self):
         grid = build_grid(2)
         cx, cy = grid.center_of(5)
-        on_edge = make_agent(Belief.unknown(grid.n), target=5, x=cx - ARRIVAL_RADIUS - 0.5, y=cy, speed=0.5)
-        short = make_agent(Belief.unknown(grid.n), target=5, x=cx - ARRIVAL_RADIUS - 0.75, y=cy, speed=0.5)
+        on_edge = make_agent(Belief.unknown(grid.n), dest=5, x=cx - ARRIVAL_RADIUS - 0.5, y=cy, speed=0.5)
+        short = make_agent(Belief.unknown(grid.n), dest=5, x=cx - ARRIVAL_RADIUS - 0.75, y=cy, speed=0.5)
         assert move_agents([on_edge, short], grid, np.random.default_rng(0)) == [on_edge]
         assert on_edge.x == cx - ARRIVAL_RADIUS
 

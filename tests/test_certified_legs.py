@@ -23,7 +23,7 @@ from hexswarm.agent import (
     move_agents,
     replay_leg,
 )
-from hexswarm.belief import Belief
+from hexswarm.belief import UNKNOWN, Belief
 from hexswarm.engine import SimConfig
 from hexswarm.environment import ARRIVAL_RADIUS, HexGrid, _axial_to_world, build_grid
 from hexswarm.errors import RULES
@@ -36,7 +36,7 @@ ALL = frozenset(Mode)
 def explorers(legs, grid, speed):
     """One exploring agent per (x, y, target) leg, with ids in list order."""
     return [
-        AgentState(i, x, y, Belief.unknown(grid.n), target=target, speed=speed)
+        AgentState(i, x, y, Belief.unknown(grid.n), dest=target, speed=speed)
         for i, (x, y, target) in enumerate(legs)
     ]
 
@@ -70,7 +70,7 @@ def certified(agents, grid, start=0):
     for agent in agents:
         if agent.landing >= 0:
             # A certified agent lands on its landing tick, on the center.
-            assert found[agent.id] == (agent.landing - start, *grid.centers[agent.target - 1])
+            assert found[agent.id] == (agent.landing - start, *grid.centers[agent.dest - 1])
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
     return found, {a.id for a in agents if a.landing >= 0}
 
@@ -131,11 +131,11 @@ def test_tiny_speed_certifies_only_legs_within_the_step_bound():
     certify_leg(explorer, grid.centers, 0, ALL)
     assert explorer.landing == -1
     certain = Belief.from_string("1" * grid.n)
-    legs = [AgentState(i, 0.0, 0.0, certain, mode=Mode.SATURATED, waypoint=i + 1, speed=speed) for i in range(grid.n)]
+    legs = [AgentState(i, 0.0, 0.0, certain, mode=Mode.SATURATED, dest=i + 1, speed=speed) for i in range(grid.n)]
     agents = copy.deepcopy(legs)
     for agent in agents:
         certify_leg(agent, grid.centers, 0, ALL)
-    over = [(math.hypot(*grid.centers[a.waypoint - 1]) - speed) / speed >= _MAX_LEG_STEPS for a in agents]
+    over = [(math.hypot(*grid.centers[a.dest - 1]) - speed) / speed >= _MAX_LEG_STEPS for a in agents]
     assert sum(over) == 6
     assert all(a.landing == -1 for a, o in zip(agents, over) if o)
     landings = {a.id: a.landing for a in agents if a.landing >= 0}
@@ -145,9 +145,9 @@ def test_tiny_speed_certifies_only_legs_within_the_step_bound():
     while moving:
         reference_model.move(moving, grid, rng)
         for agent in moving:
-            if agent.waypoint != agent.id + 1:
+            if agent.dest != agent.id + 1:
                 assert (t, agent.x, agent.y) == (landings[agent.id], *grid.centers[agent.id])
-        moving = [a for a in moving if a.waypoint == a.id + 1]
+        moving = [a for a in moving if a.dest == a.id + 1]
         t += 1
 
 
@@ -189,7 +189,7 @@ def test_wandering_agents_draw_as_stepping_ones_do(speed):
     certain = Belief.from_string("1" * grid.n)
     agents = [
         AgentState(i, *grid.centers[(7 * i) % grid.n], certain, mode=Mode.SATURATED,
-                   waypoint=None if i % 2 else 1 + (11 * i) % grid.n, speed=speed)
+                   dest=None if i % 2 else 1 + (11 * i) % grid.n, speed=speed)
         for i in range(12)
     ]
     expected = copy.deepcopy(agents)
@@ -199,7 +199,7 @@ def test_wandering_agents_draw_as_stepping_ones_do(speed):
         assert move_agents(agents, grid, rng, now=t, certified=ALL) == []
         reference_model.move(expected, grid, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert [a.waypoint for a in agents] == [a.waypoint for a in expected]
+        assert [a.dest for a in agents] == [a.dest for a in expected]
         for a, b in zip(agents, expected):
             if a.landing <= t:
                 assert (a.x, a.y) == (b.x, b.y)
@@ -356,8 +356,8 @@ def test_replay_matches_stepping_on_every_tick_mid_leg(speed):
         for dest in range(1, grid.n + 1):
             if (x, y) == grid.centers[dest - 1]:
                 continue
-            explorer = AgentState(0, x, y, Belief.unknown(grid.n), target=dest, speed=speed)
-            wanderer = AgentState(1, x, y, certain, mode=Mode.SATURATED, waypoint=dest, speed=speed)
+            explorer = AgentState(0, x, y, Belief.unknown(grid.n), dest=dest, speed=speed)
+            wanderer = AgentState(1, x, y, certain, mode=Mode.SATURATED, dest=dest, speed=speed)
             for agent in (explorer, wanderer):
                 certified[agent.mode] += replays_as_stepped(agent, grid, start=11)
     assert min(certified.values()) > 100
@@ -370,7 +370,7 @@ def test_replay_at_a_tiny_speed():
     certain = Belief.from_string("1" * grid.n)
     done = 0
     for dest in range(1, grid.n + 1):
-        agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, waypoint=dest, speed=1e-3)
+        agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, dest=dest, speed=1e-3)
         probe = copy.deepcopy(agent)
         certify_leg(probe, grid.centers, 3, ALL)
         if probe.landing < 0:
@@ -390,7 +390,9 @@ def test_rows_show_stepped_positions(config, monkeypatch):
     their centers; after each call every agent's position and landing are
     back as the last tick left them. The record equals ``run(config)``'s,
     and the generator ends in the model's state: an asocial run with an
-    observer does not idle."""
+    observer does not idle. On every row an agent is saturated exactly when
+    its belief is certain, and any other heads for a target it is uncertain
+    about."""
     expected, model = [], []
 
     def on_tick(state, sampled):
@@ -414,7 +416,9 @@ def test_rows_show_stepped_positions(config, monkeypatch):
     def on_row(state):
         seen.append([(a.x, a.y) for a in state.agents])
         replayed.append(bool(left) and [p[:2] for p in left[-1]] != seen[-1])
-        assert all((a.mode is Mode.SATURATED) == (a.target is None) for a in state.agents)
+        for a in state.agents:
+            assert (a.mode is Mode.SATURATED) == a.belief.is_certain()
+            assert a.mode is Mode.SATURATED or a.belief.value_at(a.dest) is UNKNOWN
         states[:] = [state]
 
     tick = engine.tick

@@ -113,7 +113,7 @@ class TestInitialize:
             assert (agent.x, agent.y) == (0.0, 0.0)
             assert agent.belief.certainty() == 0
             assert agent.mode is Mode.EXPLORING
-            assert 1 <= agent.target <= state.grid.n
+            assert 1 <= agent.dest <= state.grid.n
 
     def test_lattice_topology_applied(self):
         state = initialize(SimConfig(m=20, hex_disc_radius=2, topology="lattice:2", seed=0))
@@ -125,7 +125,7 @@ class TestInitialize:
         assert a.truth == b.truth
         for agent_a, agent_b in zip(a.agents, b.agents):
             assert (agent_a.x, agent_a.y) == (agent_b.x, agent_b.y)
-            assert agent_a.target == agent_b.target
+            assert agent_a.dest == agent_b.dest
             assert agent_a.belief == agent_b.belief
 
 
@@ -233,7 +233,7 @@ class TestFusionPhaseMatchesEdgeSetReference:
         assert state.fusion_events == expected.fusion_events
         assert state.rng.bit_generator.state == expected.rng.bit_generator.state
         assert [a.log_line(0) for a in state.agents] == [a.log_line(0) for a in expected.agents]
-        assert [a.target for a in state.agents] == [a.target for a in expected.agents]
+        assert [a.dest for a in state.agents] == [a.dest for a in expected.agents]
 
     @pytest.mark.parametrize(
         "overrides",
