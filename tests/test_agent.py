@@ -173,6 +173,44 @@ class TestOnFusion:
         assert agent.belief.certainty() == before
 
 
+class TestTargetInvariant:
+    """After one ``on_arrival`` or ``on_fusion`` call, an agent is saturated
+    exactly when its belief is certain, and any other agent heads for a
+    target it is uncertain about. An agent that saturates has no waypoint
+    yet; one that was saturated and stays so keeps its waypoint."""
+
+    beliefs = st.lists(st.integers(0, 2), min_size=1, max_size=10).map(Belief)
+
+    @given(belief=beliefs, mode=st.sampled_from([Mode.EXPLORING, Mode.BROADCASTING]), data=st.data(),
+           epsilon=st.sampled_from([0.0, 0.3, 0.5]), comm_freq=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_after_arrival(self, belief, mode, data, epsilon, comm_freq, seed):
+        dest = data.draw(st.integers(1, belief.n))
+        truth = GroundTruth.from_bools(data.draw(st.lists(st.booleans(), min_size=belief.n, max_size=belief.n)))
+        agent = make_agent(belief, mode=mode, dest=dest)
+        on_arrival(agent, truth, NoiseModel(epsilon), comm_freq, np.random.default_rng(seed))
+        assert (agent.mode is Mode.SATURATED) == agent.belief.is_certain()
+        assert (agent.mode is Mode.SATURATED) == (agent.dest is None)
+        if agent.mode is not Mode.SATURATED:
+            assert agent.belief.value_at(agent.dest) is UNKNOWN
+
+    @given(belief=beliefs, mode=st.sampled_from(list(Mode)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_after_fusion(self, belief, mode, data, seed):
+        partner = Belief(data.draw(st.lists(st.integers(0, 2), min_size=belief.n, max_size=belief.n)))
+        wandering = mode is Mode.SATURATED
+        dest = data.draw(st.none() | st.integers(1, belief.n)) if wandering else data.draw(st.integers(1, belief.n))
+        agent = make_agent(belief, mode=mode, dest=dest)
+        on_fusion(agent, partner, np.random.default_rng(seed))
+        assert (agent.mode is Mode.SATURATED) == agent.belief.is_certain()
+        if agent.mode is not Mode.SATURATED:
+            assert agent.dest is not None
+            assert agent.belief.value_at(agent.dest) is UNKNOWN
+        elif wandering:
+            assert agent.dest == dest
+        else:
+            assert agent.dest is None
+
+
 class TestModeInvariant:
     """Over any sequence of ``on_arrival`` and ``on_fusion`` calls, as the
     engine makes them, an agent is saturated exactly when its belief is
