@@ -13,6 +13,10 @@ true. Fusion, evidence updates, certainty and the error metric are then a
 few bitwise operations and popcounts each. The int8 code array (FALSE=0,
 UNKNOWN=1, TRUE=2) that the fusion table ``_FUSION`` acts on is still
 available, built on demand, as the read-only ``codes`` property.
+
+The hidden state of the world is a ``GroundTruth``: a belief that is
+certain about every proposition, so one class states the three-valued
+vector for both.
 """
 
 from __future__ import annotations
@@ -77,22 +81,14 @@ _DIGIT_TO_CODE = bytes.maketrans(b"012", b"\x01\x00\x02")
 _DIGIT_TO_SYMBOL = bytes.maketrans(b"012", b"u01")
 
 
-def _codes(n: int, known: int, true: int) -> np.ndarray:
-    """Read-only int8 code array of the given masks."""
-    return np.frombuffer(_digits(n, known, true).translate(_DIGIT_TO_CODE), dtype=np.int8)
-
-
-def _check_index(index: int, n: int) -> None:
-    if not 1 <= index <= n:
-        raise ValueError(f"proposition index {index} out of range 1..{n}")
-
-
 class Belief:
     """An immutable n-tuple of truth values, one per proposition.
 
     Proposition indices are 1-based throughout the public API, matching
     the usual p_1..p_n numbering of the model. ``known`` and ``true`` are
-    the bitmasks described in the module docstring.
+    the bitmasks described in the module docstring. Equality and the hash
+    read only ``n`` and the masks, so a ``GroundTruth`` equals, and hashes
+    like, the certain belief with the same values.
     """
 
     __slots__ = ("n", "known", "true")
@@ -114,10 +110,10 @@ class Belief:
         self.true = true
         return self
 
-    @classmethod
-    def unknown(cls, n: int) -> "Belief":
+    @staticmethod
+    def unknown(n: int) -> "Belief":
         """The totally uncertain belief over n propositions."""
-        return cls._from_masks(n, 0, 0)
+        return Belief._from_masks(n, 0, 0)
 
     @classmethod
     def from_string(cls, text: str) -> "Belief":
@@ -130,14 +126,16 @@ class Belief:
     @property
     def codes(self) -> np.ndarray:
         """Read-only int8 array of codes (FALSE=0, UNKNOWN=1, TRUE=2)."""
-        return _codes(self.n, self.known, self.true)
+        return np.frombuffer(_digits(self.n, self.known, self.true).translate(_DIGIT_TO_CODE), dtype=np.int8)
 
     def to_string(self) -> str:
+        """One symbol per proposition, proposition 1 first: 0, u or 1."""
         return _digits(self.n, self.known, self.true).translate(_DIGIT_TO_SYMBOL).decode()
 
     def value_at(self, index: int) -> TruthValue:
         """Truth value of proposition ``index`` (1-based)."""
-        _check_index(index, self.n)
+        if not 1 <= index <= self.n:
+            raise ValueError(f"proposition index {index} out of range 1..{self.n}")
         bit = 1 << (index - 1)
         if not self.known & bit:
             return UNKNOWN
@@ -162,56 +160,32 @@ class Belief:
         return hash((self.n, self.known, self.true))
 
     def __repr__(self) -> str:
-        return f"Belief({self.to_string()!r})"
+        return f"{type(self).__name__}({self.to_string()!r})"
 
 
-class GroundTruth:
-    """The hidden state of the world: a certain value for every proposition.
+class GroundTruth(Belief):
+    """The hidden state of the world: a belief certain about every proposition.
 
-    ``true`` has bit i set when proposition i+1 is true.
+    ``true`` has bit i set when proposition i+1 is true, and ``known`` has
+    every bit set. Being a ``Belief``, a ground truth is hashable, equals
+    the plain ``Belief`` with the same values, and prints as
+    ``GroundTruth('…')`` over the symbols 0 and 1.
     """
 
-    __slots__ = ("n", "true")
+    __slots__ = ()
 
     def __init__(self, values: Iterable[TruthValue | int]):
-        n, known, true = _masks(values)
-        if n == 0:
-            raise ValueError("a ground truth needs at least one proposition")
-        if known != (1 << n) - 1:
+        super().__init__(values)
+        if not self.is_certain():
             raise ValueError("ground truth values must be certain (false or true)")
-        self.n = n
-        self.true = true
 
     @classmethod
     def from_bools(cls, flags: Sequence[bool]) -> "GroundTruth":
         return cls([2 if f else 0 for f in flags])
 
-    @property
-    def codes(self) -> np.ndarray:
-        """Read-only int8 array of codes (FALSE=0, TRUE=2)."""
-        return _codes(self.n, (1 << self.n) - 1, self.true)
-
-    def value_at(self, index: int) -> TruthValue:
-        _check_index(index, self.n)
-        return TRUE if self.true >> (index - 1) & 1 else FALSE
-
     def as_belief(self) -> Belief:
-        """The fully certain belief that matches this ground truth exactly."""
-        return Belief._from_masks(self.n, (1 << self.n) - 1, self.true)
-
-    def to_string(self) -> str:
-        return format(self.true, f"0{self.n}b")[::-1]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroundTruth):
-            return NotImplemented
-        return self.n == other.n and self.true == other.true
-
-    def __repr__(self) -> str:
-        return f"GroundTruth({self.to_string()!r})"
+        """The plain ``Belief`` with this ground truth's values."""
+        return Belief._from_masks(self.n, self.known, self.true)
 
 
 def fuse_value(a: TruthValue, b: TruthValue) -> TruthValue:

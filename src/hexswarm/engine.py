@@ -215,14 +215,21 @@ class RunRecord:
 
     Trajectory rows are (tick, average error, mean certainty fraction,
     cumulative fusion events), strictly increasing in tick and always
-    including tick 0 and the terminal tick.
+    including tick 0 and the terminal tick. The last row therefore holds
+    the terminal tick and the steady-state error, and both are read from it.
     """
 
     config: dict
     trajectory: list[TrajectoryPoint]
-    terminal_tick: int
     converged: bool
-    steady_state_error: float
+
+    @property
+    def terminal_tick(self) -> int:
+        return self.trajectory[-1].tick
+
+    @property
+    def steady_state_error(self) -> float:
+        return self.trajectory[-1].average_error
 
     def to_dict(self) -> dict:
         return {
@@ -448,10 +455,4 @@ def run(
         every = config.sample_every
         trajectory += [last._replace(tick=s) for s in range(t + (-t) % every, config.max_ticks, every)]
         trajectory.append(last)
-    return RunRecord(
-        config=asdict(config),
-        trajectory=trajectory,
-        terminal_tick=state.tick_index,
-        converged=converged,
-        steady_state_error=trajectory[-1].average_error,
-    )
+    return RunRecord(config=asdict(config), trajectory=trajectory, converged=converged)

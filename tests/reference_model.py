@@ -158,7 +158,7 @@ def run(config, on_tick=None):
             on_tick(state, sampled)
         if done:
             break
-    return RunRecord(asdict(config), trajectory, state.tick_index, done, trajectory[-1].average_error)
+    return RunRecord(asdict(config), trajectory, done)
 
 
 def ci95(values):

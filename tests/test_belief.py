@@ -200,6 +200,10 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="certain"):
             GroundTruth([0, 1, 2])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one proposition"):
+            GroundTruth([])
+
     def test_as_belief(self):
         truth = GroundTruth.from_bools([True, False])
         assert truth.as_belief() == Belief.from_string("10")

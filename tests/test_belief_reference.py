@@ -87,11 +87,21 @@ def test_round_trips(codes):
 
 @given(lengths.flatmap(lambda n: code_lists(n, (0, 2))))
 def test_ground_truth_round_trips(codes):
+    """A ground truth is a certain ``Belief``: it equals and hashes like its
+    plain copy, and prints one bit per proposition, proposition 1 first."""
     truth = GroundTruth(codes)
+    text = "".join("0?1"[c] for c in codes)
     assert np.array_equal(truth.codes, np.array(codes, dtype=np.int8))
     assert GroundTruth(truth.codes) == truth
-    assert truth.to_string() == "".join("0?1"[c] for c in codes)
-    assert np.array_equal(truth.as_belief().codes, truth.codes)
+    assert truth.to_string() == text == format(truth.true, f"0{truth.n}b")[::-1]
+    assert repr(truth) == f"GroundTruth({text!r})"
+    assert isinstance(truth, Belief)
+    plain = truth.as_belief()
+    assert type(plain) is Belief and np.array_equal(plain.codes, truth.codes)
+    assert truth == plain and hash(truth) == hash(plain)
+    for index in (0, truth.n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            truth.value_at(index)
 
 
 @given(lengths.flatmap(code_lists))

@@ -146,3 +146,61 @@ def test_tree_ids_name_the_parent_commit_and_the_uncommitted_change(monkeypatch,
     assert bench_pairs.tree_ids("abc123", tmp_path / "BENCH_1.json") == ids
     assert bench_pairs.tree_ids("abc123", tmp_path.parent / "elsewhere.json") == ids
     assert set(calls) == set(outputs)
+
+
+def test_neither_side_runs_in_the_checkout(monkeypatch, tmp_path):
+    """The parent runs in its extract and the change in a copy of the
+    working tree beside it; both are removed afterwards."""
+    filled, ran = {}, []
+
+    def fake_extract(ref, into):
+        into.mkdir(parents=True)
+        (into / "from_git_archive").write_text(ref)
+        filled["parent"] = into
+
+    def fake_copy(into, out):
+        into.mkdir(parents=True)
+        (into / "from_worktree").write_text(str(out))
+        filled["change"] = into
+
+    def fake_bench(tree, workload, seed, tree_id):
+        ran.append((tree_id["side"], tree))
+        assert tree == filled[tree_id["side"]] and tree.is_dir()
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {name: {"value": 1.0} for name in ("wall_s", "ticks_per_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc1234")
+    monkeypatch.setattr(bench_pairs, "tree_ids", lambda ref, out: {"parent": {"side": "parent"},
+                                                                    "change": {"side": "change"}})
+    monkeypatch.setattr(bench_pairs, "extract", fake_extract)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", fake_copy)
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--parent", "abc1234", "--workload", "asocial", "--pairs", "2", "--out", str(out)]) == 0
+    assert [side for side, _ in ran] == ["parent", "change", "change", "parent"]
+    trees = {side: tree for side, tree in ran}
+    assert len(trees) == 2 and trees["parent"] != trees["change"]
+    assert trees["parent"].parent == trees["change"].parent
+    for tree in trees.values():
+        assert not tree.resolve().is_relative_to(bench_pairs.ROOT)
+        assert not tree.exists()
+    assert json.loads(out.read_text())["workloads"]["asocial --seed 0"]["pairs"] == 2
+
+
+def test_copy_worktree_takes_tracked_and_untracked_files_but_not_ignored_ones(monkeypatch, tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    files = {".gitignore": "/out/\n", "src/a.py": "a = 1\n", "src/gone.py": "", "new.py": "b = 2\n",
+             "out/skip.txt": "", "BENCH_1.json": "{}"}
+    for path, text in files.items():
+        (repo / path).parent.mkdir(parents=True, exist_ok=True)
+        (repo / path).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", ".gitignore", "src"], cwd=repo, check=True)
+    (repo / "src" / "a.py").write_text("a = 3\n")  # uncommitted edit
+    (repo / "src" / "gone.py").unlink()  # tracked but deleted
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.copy_worktree(into, repo / "BENCH_1.json")
+    copied = {p.relative_to(into).as_posix(): p.read_text() for p in into.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": "/out/\n", "src/a.py": "a = 3\n", "new.py": "b = 2\n"}

@@ -15,7 +15,7 @@ from run_differential import assert_run_matches_model
 
 from hexswarm import engine
 from hexswarm.agent import Mode
-from hexswarm.belief import Belief, GroundTruth
+from hexswarm.belief import Belief, GroundTruth, uncertain_indices
 from hexswarm.engine import (
     SimConfig,
     average_error,
@@ -217,10 +217,19 @@ class TestFusionPhaseMatchesEdgeSetReference:
         # Cell centers put many pairs at exactly the cell spacing apart.
         centers = [(0.0, 0.0)] + [state.grid.center_of(i) for i in range(1, n + 1)]
         spot = st.one_of(st.sampled_from(centers), st.tuples(st.floats(-40, 40), st.floats(-40, 40)))
+        # Only states an engine path makes: saturated exactly when the belief
+        # is certain, with a waypoint or none yet; any other agent heads for
+        # one of its Unknown propositions. Saturated agents often agree.
+        certain = st.lists(st.sampled_from([0, 2]), min_size=n, max_size=n)
+        beliefs = st.just(data.draw(certain)) | certain | st.lists(st.integers(0, 2), min_size=n, max_size=n)
         for agent in state.agents:
             agent.x, agent.y = data.draw(spot)
-            agent.mode = data.draw(st.sampled_from(list(Mode)))
-            agent.belief = Belief(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+            agent.belief = Belief(data.draw(beliefs))
+            if agent.belief.is_certain():
+                agent.mode, agent.dest = Mode.SATURATED, data.draw(st.none() | st.integers(1, n))
+            else:
+                agent.mode = data.draw(st.sampled_from([Mode.EXPLORING, Mode.BROADCASTING]))
+                agent.dest = data.draw(st.sampled_from(sorted(uncertain_indices(agent.belief))))
         broadcasters = [a.id for a in state.agents if a.mode is not Mode.EXPLORING]
         assume(len(broadcasters) >= 2)  # tick() skips the phase otherwise
         expected = copy.deepcopy(state)

@@ -33,14 +33,13 @@ TINY = dict(m=4, hex_disc_radius=1, max_ticks=400, sample_every=50)
 
 def fake_record(topology="complete", m=4, C_r=20.0, C_f=0.1, epsilon=0.1, seed=1,
                 errors=(0.5, 0.2), terminal=100, converged=False):
-    trajectory = [
-        TrajectoryPoint(t * terminal // (len(errors) - 1) if len(errors) > 1 else 0, e, 0.0, 0)
-        for t, e in enumerate(errors)
-    ]
+    # Rows evenly spaced from tick 0, the last at the terminal tick.
+    last = len(errors) - 1
+    trajectory = [TrajectoryPoint(t * terminal // last if last else terminal, e, 0.0, 0)
+                  for t, e in enumerate(errors)]
     config = dict(m=m, hex_disc_radius=1, C_r=C_r, C_f=C_f, epsilon=epsilon,
                   topology=topology, max_ticks=400, speed=5.0, seed=seed, sample_every=50)
-    return RunRecord(config=config, trajectory=trajectory, terminal_tick=terminal,
-                     converged=converged, steady_state_error=errors[-1])
+    return RunRecord(config=config, trajectory=trajectory, converged=converged)
 
 
 class TestExpand:
@@ -219,9 +218,7 @@ class TestMeanTrajectories:
                 errors = np.where(rng.random(len(ticks)) < repeat_share, repeated, rng.random(len(ticks)))
                 errors[0] = start
                 trajectory = [TrajectoryPoint(t, e, 0.0, 0) for t, e in zip(ticks, errors.tolist())]
-                records.append(RunRecord(config=fake_record().config, trajectory=trajectory,
-                                         terminal_tick=terminal, converged=False,
-                                         steady_state_error=errors[-1]))
+                records.append(RunRecord(config=fake_record().config, trajectory=trajectory, converged=False))
             grouped.append(records)
         rows = mean_trajectories(grouped, sample_every=50)
         assert list(map(repr, rows)) == list(map(repr, reference_model.trajectory_rows(grouped, 50)))

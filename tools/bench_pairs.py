@@ -6,23 +6,25 @@ Run from anywhere inside the repository:
     python3 tools/bench_pairs.py --parent REF --workload W [--seed S] --pairs N --out BENCH_<n>.json
 
 The parent's committed files are extracted (``git archive``) into a
-temporary directory, and ``perfbench/bench.py --workload W --seed S
---seconds 14 --trace 0`` then runs N times in each tree, alternating: the
-parent runs first in odd pairs and the change first in even ones. The
-change is this checkout's working tree. Each run's final JSON line is
-merged into the output file under ``"W --seed S"``, next to the entries of
-other workloads already there, together with the ``unscaled`` block of the
-line before it (the raw, uncalibrated wall and setup times) and its
-``provenance`` block (versions and config hash). In that block
-``git_commit`` names the tree that ran: the parent's full commit id, or
-for the change this checkout's HEAD, with ``git_diff_sha256``, a sha256 of
-``git diff HEAD --binary`` followed by each untracked file's path and
-contents, leaving out the output file. (``bench.py`` itself reads
-"unknown" in the extracted parent and HEAD in the checkout, whatever is
-uncommitted.) The median,
-quartiles and wins of every end-to-end metric are printed, and for wall_s
-and setup_s also each side's unscaled median. The script refuses to merge
-into a file that holds runs against another parent or from another host.
+temporary directory, and the change's into a sibling one: the working-tree
+copy of every file ``git ls-files -co --exclude-standard`` lists, leaving
+out the output file. Neither side runs in the checkout itself, so both
+load the program from equally fresh files. ``perfbench/bench.py
+--workload W --seed S --seconds 14 --trace 0`` then runs N times in each
+tree, alternating: the parent runs first in odd pairs and the change
+first in even ones. Each run's final JSON line is merged into the output
+file under ``"W --seed S"``, next to the entries of other workloads
+already there, together with the ``unscaled`` block of the line before it
+(the raw, uncalibrated wall and setup times) and its ``provenance`` block
+(versions and config hash). In that block ``git_commit`` names the tree
+that ran: the parent's full commit id, or for the change this checkout's
+HEAD, with ``git_diff_sha256``, a sha256 of ``git diff HEAD --binary``
+followed by each untracked file's path and contents, leaving out the
+output file. (``bench.py`` itself reads "unknown" in both extracts.) The
+median, quartiles and wins of every end-to-end metric are printed, and
+for wall_s and setup_s also each side's unscaled median. The script
+refuses to merge into a file that holds runs against another parent or
+from another host.
 
 Only the standard library is used, so the script runs under any Python
 that can run the benchmark.
@@ -35,6 +37,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -140,14 +143,30 @@ def extract(ref: str, into: Path) -> None:
             tar.extractall(into, filter="data")
 
 
+def pathspec(out: Path) -> list[str]:
+    """The git pathspec of the whole checkout, without ``out`` if inside it."""
+    spec = ["--", "."]
+    if out.resolve().is_relative_to(ROOT):
+        spec.append(f":(exclude){out.resolve().relative_to(ROOT).as_posix()}")
+    return spec
+
+
+def copy_worktree(into: Path, out: Path) -> None:
+    """Copy into ``into`` the working-tree files of this checkout, tracked
+    and untracked but not ignored, leaving out ``out`` and tracked files
+    deleted from the working tree."""
+    for path in filter(None, git("ls-files", "-co", "--exclude-standard", "-z", *pathspec(out)).split("\0")):
+        if (ROOT / path).is_file():
+            (into / path).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / path, into / path)
+
+
 def tree_ids(parent_ref: str, out: Path) -> dict[str, dict]:
     """Per side, the ``provenance`` entries that name the tree it runs: the
     parent's full commit id, and this checkout's HEAD with a sha256 of its
     uncommitted changes, tracked and untracked. The output file ``out`` is
     left out, so every workload merged into it records the same digest."""
-    spec = ["--", "."]
-    if out.resolve().is_relative_to(ROOT):
-        spec.append(f":(exclude){out.resolve().relative_to(ROOT).as_posix()}")
+    spec = pathspec(out)
     digest = hashlib.sha256(subprocess.run(["git", "diff", "HEAD", "--binary", *spec], cwd=ROOT,
                                            capture_output=True, check=True).stdout)
     for path in sorted(filter(None, git("ls-files", "--others", "--exclude-standard", "-z", *spec).split("\0"))):
@@ -203,14 +222,15 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"{args.out} holds runs from host {record['host']!r}, not {host()!r}")
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
-    # Exit through the with block on SIGTERM too, so the extracted parent is
+    # Exit through the with block on SIGTERM too, so the extracts are
     # removed and subprocess.run kills the benchmark it is waiting on.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     ids = tree_ids(parent_rev, args.out)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {side: Path(tmp, side) for side in runs}
         extract(parent_rev, trees["parent"])
+        copy_worktree(trees["change"], args.out)
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
