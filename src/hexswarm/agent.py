@@ -35,8 +35,6 @@ from .belief import (
 )
 from .environment import ARRIVAL_RADIUS, HexGrid, NoiseModel, observe
 
-DEFAULT_SPEED = 5.0
-
 # The one rounding margin of a straight leg's closed form. From the leg's
 # first computed distance d, stepping snaps on the center after k =
 # ceil((d - speed) / speed) steps, the last of which ends rest = d - k*speed
@@ -94,9 +92,9 @@ class AgentState:
     x: float
     y: float
     belief: Belief
+    speed: float
     mode: Mode = EXPLORING
     dest: int | None = None
-    speed: float = DEFAULT_SPEED
     landing: int = -1
     origin: tuple[float, float] = (0.0, 0.0)
     departure: int = -1

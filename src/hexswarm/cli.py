@@ -25,7 +25,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import SimConfig, run
@@ -47,17 +46,7 @@ from .experiment import (
 
 RUN_KEYS = {f.name for f in dataclasses.fields(SimConfig)}
 SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
-SWEEP_ONLY_KEYS = {"repeats", "base_seed"}
-
-
-@dataclass
-class CliInvocation:
-    subcommand: str
-    config_path: str | None
-    out_dir: str
-    overrides: list[tuple[str, object]]
-    workers: int
-    seed: int | None
+SWEEP_ONLY_KEYS = SWEEP_KEYS - RUN_KEYS
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -105,17 +94,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_and_validate(argv: list[str]) -> CliInvocation:
+def parse_and_validate(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, with ``--workers`` checked and ``overrides``
+    holding the parsed (key, value) pairs of ``--set``."""
     args = _parser().parse_args(argv)
     check("--workers", args.workers)
-    return CliInvocation(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        out_dir=args.out,
-        overrides=[_parse_override(s) for s in args.overrides],
-        workers=args.workers,
-        seed=args.seed,
-    )
+    args.overrides = [_parse_override(s) for s in args.overrides]
+    return args
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -128,31 +113,31 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-def _load_config_data(invocation: CliInvocation) -> dict:
+def _load_config_data(args: argparse.Namespace) -> dict:
     data: dict = {}
-    if invocation.config_path is not None:
+    if args.config is not None:
         try:
-            with open(invocation.config_path) as fh:
+            with open(args.config) as fh:
                 data = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
-            raise ConfigError(f"cannot read config {invocation.config_path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except ConfigError:
             raise
         except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
-            raise ConfigError(f"config {invocation.config_path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         except RecursionError:
-            raise ConfigError(f"config {invocation.config_path} is nested too deeply to parse") from None
+            raise ConfigError(f"config {args.config} is nested too deeply to parse") from None
         if not isinstance(data, dict):
-            raise ConfigError(f"config {invocation.config_path} must be a JSON object")
-    for key, value in invocation.overrides:
+            raise ConfigError(f"config {args.config} must be a JSON object")
+    for key, value in args.overrides:
         data[key] = value
     return data
 
 
-def _is_sweep_shaped(data: dict) -> bool:
-    if SWEEP_ONLY_KEYS & data.keys():
-        return True
-    return any(isinstance(v, list) for v in data.values())
+def _sweep_key(data: dict) -> str | None:
+    """The first key that makes ``data`` a sweep config, a sweep-only key or
+    one with a list value, or None for a single-run config."""
+    return next((k for k, v in data.items() if k in SWEEP_ONLY_KEYS or isinstance(v, list)), None)
 
 
 def _check_keys(data: dict, allowed: set[str], kind: str) -> None:
@@ -162,8 +147,10 @@ def _check_keys(data: dict, allowed: set[str], kind: str) -> None:
 
 
 def _build_run_config(data: dict, seed: int | None) -> SimConfig:
-    if _is_sweep_shaped(data):
-        raise ConfigError("config describes a sweep (list values); use the sweep subcommand")
+    key = _sweep_key(data)
+    if key is not None:
+        cause = "is a sweep-only key" if key in SWEEP_ONLY_KEYS else "has a list value"
+        raise ConfigError(f"config describes a sweep ({key!r} {cause}); use the sweep subcommand")
     _check_keys(data, RUN_KEYS, "run")
     if seed is not None:
         data = {**data, "seed": seed}
@@ -181,16 +168,16 @@ def _build_sweep_spec(data: dict, seed: int | None) -> SweepSpec:
     return spec
 
 
-def execute(invocation: CliInvocation) -> int:
-    data = _load_config_data(invocation)
+def execute(args: argparse.Namespace) -> int:
+    data = _load_config_data(args)
 
-    if invocation.subcommand == "validate":
-        if _is_sweep_shaped(data):
-            spec = _build_sweep_spec(data, invocation.seed)
+    if args.subcommand == "validate":
+        if _sweep_key(data) is not None:
+            spec = _build_sweep_spec(data, args.seed)
             total = len(spec.cells()) * spec.repeats
             print(f"valid sweep config: {len(spec.cells())} cells x {spec.repeats} repeats = {total} runs")
         else:
-            config = _build_run_config(data, invocation.seed)
+            config = _build_run_config(data, args.seed)
             print(
                 f"valid run config: m={config.m} topology={config.topology} "
                 f"C_r={config.C_r:g} C_f={config.C_f:g} epsilon={config.epsilon:g} "
@@ -198,9 +185,9 @@ def execute(invocation: CliInvocation) -> int:
             )
         return 0
 
-    out_dir = Path(invocation.out_dir)
-    if invocation.subcommand in ("run", "trace"):
-        config = _build_run_config(data, invocation.seed)
+    out_dir = Path(args.out)
+    if args.subcommand in ("run", "trace"):
+        config = _build_run_config(data, args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         # The log is streamed to a temporary file, so memory stays flat however
         # many ticks are traced, and is renamed onto trace.log only once the
@@ -215,7 +202,7 @@ def execute(invocation: CliInvocation) -> int:
 
                 # trace logs every tick; run logs the rows only, which lets
                 # the engine keep its certified legs.
-                if invocation.subcommand == "trace":
+                if args.subcommand == "trace":
                     record = run(config, on_tick=log_agents)
                 else:
                     record = run(config, on_row=log_agents)
@@ -231,9 +218,9 @@ def execute(invocation: CliInvocation) -> int:
         return 0
 
     # sweep
-    spec = _build_sweep_spec(data, invocation.seed)
+    spec = _build_sweep_spec(data, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = run_sweep(spec, workers=invocation.workers)
+    records = run_sweep(spec, workers=args.workers)
     grouped = group_by_cell(spec, records)
     summaries = aggregate(grouped)
     write_sweep_results(out_dir / "sweep_results.csv", spec, records)
@@ -248,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        invocation = parse_and_validate(argv)
-        return execute(invocation)
+        args = parse_and_validate(argv)
+        return execute(args)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalize None to 0
         return int(exc.code or 0)

@@ -1,7 +1,8 @@
 """Parameter sweeps: repeated seeded runs, aggregation, CSV output.
 
 A sweep is the Cartesian product of topology, C_r, C_f and epsilon value
-lists, each cell repeated ``repeats`` times. Every (cell, trial) pair gets
+lists (``AXES``), each cell repeated ``repeats`` times. Its fixed settings
+and the axes' defaults are ``SimConfig``'s. Every (cell, trial) pair gets
 its own seed derived through a stable hash of (base_seed, cell index,
 trial index), so re-running a sweep reproduces every trial exactly and the
 result is independent of how many workers execute it.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -20,45 +21,42 @@ import numpy as np
 from .engine import RunRecord, SimConfig, parse_topology, run
 from .errors import ConfigError, check
 
-SWEEP_RESULTS_COLUMNS = [
-    "topology", "k", "C_r", "C_f", "epsilon",
-    "trial", "seed", "steady_state_error", "terminal_tick", "converged",
-]
-CELL_SUMMARY_COLUMNS = [
-    "topology", "k", "C_r", "C_f", "epsilon",
-    "mean_error", "ci95", "mean_terminal_tick", "consensus_fraction",
-]
-TRAJECTORY_COLUMNS = ["topology", "k", "C_r", "C_f", "epsilon", "tick", "mean_error", "ci95"]
+# The run settings a sweep crosses, in cell order.
+AXES = ("topology", "C_r", "C_f", "epsilon")
+# The run settings a sweep holds fixed: every other one but the seed.
+_FIXED = tuple(f.name for f in fields(SimConfig) if f.name not in AXES and f.name != "seed")
 
-
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+CELL_COLUMNS = ["topology", "k", "C_r", "C_f", "epsilon"]
+SWEEP_RESULTS_COLUMNS = [*CELL_COLUMNS, "trial", "seed", "steady_state_error", "terminal_tick", "converged"]
+CELL_SUMMARY_COLUMNS = [*CELL_COLUMNS, "mean_error", "ci95", "mean_terminal_tick", "consensus_fraction"]
+TRAJECTORY_COLUMNS = [*CELL_COLUMNS, "tick", "mean_error", "ci95"]
 
 
 @dataclass
 class SweepSpec:
-    """A grid of parameter cells plus the fixed single-run settings."""
+    """A grid of parameter cells plus the fixed single-run settings. Each
+    fixed setting defaults to ``SimConfig``'s default, and each axis to a
+    one-value list of it; a scalar axis value is taken as a one-value list."""
 
-    topology: list[str] = field(default_factory=lambda: ["complete"])
-    C_r: list[float] = field(default_factory=lambda: [20.0])
-    C_f: list[float] = field(default_factory=lambda: [0.1])
-    epsilon: list[float] = field(default_factory=lambda: [0.0])
+    topology: list[str] = field(default_factory=lambda: [SimConfig.topology])
+    C_r: list[float] = field(default_factory=lambda: [SimConfig.C_r])
+    C_f: list[float] = field(default_factory=lambda: [SimConfig.C_f])
+    epsilon: list[float] = field(default_factory=lambda: [SimConfig.epsilon])
     repeats: int = 50
     base_seed: int = 0
-    m: int = 20
-    hex_disc_radius: int = 6
-    max_ticks: int = 30_000
-    speed: float = 5.0
-    sample_every: int = 100
+    m: int = SimConfig.m
+    hex_disc_radius: int = SimConfig.hex_disc_radius
+    max_ticks: int = SimConfig.max_ticks
+    speed: float = SimConfig.speed
+    sample_every: int = SimConfig.sample_every
 
     def __post_init__(self):
-        self.topology = _as_list(self.topology)
-        self.C_r = _as_list(self.C_r)
-        self.C_f = _as_list(self.C_f)
-        self.epsilon = _as_list(self.epsilon)
+        for name in AXES:
+            value = getattr(self, name)
+            setattr(self, name, list(value) if isinstance(value, (list, tuple)) else [value])
 
     def validate(self) -> None:
-        for name in ("topology", "C_r", "C_f", "epsilon"):
+        for name in AXES:
             if not getattr(self, name):
                 raise ConfigError(f"sweep list {name} must not be empty")
         check("repeats", self.repeats)
@@ -69,30 +67,18 @@ class SweepSpec:
             self.run_config(cell, self.base_seed).validate()
         # Only after the per-cell checks, which reject bools and unhashable
         # entries. Equal values (20 and 20.0) would sweep one cell twice.
-        for name in ("topology", "C_r", "C_f", "epsilon"):
+        for name in AXES:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"sweep list {name} repeats a value: {values!r}")
 
     def cells(self) -> list[tuple[str, float, float, float]]:
-        """Parameter cells in deterministic (topology, C_r, C_f, epsilon) order."""
-        return list(product(self.topology, self.C_r, self.C_f, self.epsilon))
+        """Parameter cells in deterministic ``AXES`` order."""
+        return list(product(*(getattr(self, name) for name in AXES)))
 
     def run_config(self, cell: tuple[str, float, float, float], seed: int) -> SimConfig:
         """The single-run config of one cell of this sweep, with ``seed``."""
-        topology, c_r, c_f, eps = cell
-        return SimConfig(
-            m=self.m,
-            hex_disc_radius=self.hex_disc_radius,
-            C_r=c_r,
-            C_f=c_f,
-            epsilon=eps,
-            topology=topology,
-            max_ticks=self.max_ticks,
-            speed=self.speed,
-            seed=seed,
-            sample_every=self.sample_every,
-        )
+        return SimConfig(**{name: getattr(self, name) for name in _FIXED}, **dict(zip(AXES, cell)), seed=seed)
 
 
 def derive_seed(base_seed: int, cell_index: int, trial: int) -> int:
@@ -259,13 +245,7 @@ def write_sweep_results(path, spec: SweepSpec, records: Sequence[RunRecord]) -> 
 
 
 def write_cell_summary(path, summaries: Iterable[CellSummary]) -> None:
-    _write_csv(path, CELL_SUMMARY_COLUMNS, (
-        [
-            s.topology, s.k, s.C_r, s.C_f, s.epsilon,
-            s.mean_error, s.ci95, s.mean_terminal_tick, s.consensus_fraction,
-        ]
-        for s in summaries
-    ))
+    _write_csv(path, CELL_SUMMARY_COLUMNS, ([getattr(s, c) for c in CELL_SUMMARY_COLUMNS] for s in summaries))
 
 
 def write_trajectories(path, rows: Iterable[tuple]) -> None:

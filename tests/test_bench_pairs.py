@@ -34,9 +34,20 @@ def test_medians_quartiles_and_wins():
     assert wall["change_frac"] == pytest.approx(-0.125)
     assert (wall["wins"], wall["pairs"]) == (4, 5)  # the third pair is a loss
     assert not wall["gain_rule_met"]  # 4/5 is below nine tenths
+    assert not wall["loss_rule_met"]
     # The higher-is-better metric counts the same pairs as wins.
     assert summary["ticks_per_s"]["wins"] == 4
     assert summary["ticks_per_s"]["change_frac"] > 0
+    # The sides swapped: the change is worse in 4/5, below nine tenths.
+    assert not any(s["loss_rule_met"] for s in bench_pairs.summarize(change, parent, BETTER).values())
+    # Worse in 5/5 by 0.5 s, past the pooled spread of 0.1 s around each side's median.
+    worse = bench_pairs.summarize(runs([3.5, 3.6, 3.7, 3.4, 3.5]), parent, BETTER)
+    assert worse["wall_s"]["loss_rule_met"] and worse["ticks_per_s"]["loss_rule_met"]
+    assert not worse["wall_s"]["gain_rule_met"]
+    # Worse in 5/5 by no more than that spread.
+    narrow = bench_pairs.summarize(runs([3.95, 4.15, 3.85, 4.05, 3.95]), parent, BETTER)
+    assert narrow["wall_s"]["wins"] == 0
+    assert not narrow["wall_s"]["loss_rule_met"]
 
 
 def test_ties_count_for_neither_side():

@@ -60,7 +60,7 @@ class TestParsing:
         first = parse_and_validate(["run", "--set", "m=7", "--set", "C_f=0.5", "--seed", "3"])
         second = parse_and_validate(["trace"])
         assert (first.overrides, first.seed) == ([("m", 7), ("C_f", 0.5)], 3)
-        assert (second.subcommand, second.overrides, second.seed, second.out_dir) == ("trace", [], None, "out")
+        assert (second.subcommand, second.overrides, second.seed, second.out) == ("trace", [], None, "out")
         assert cli._parser() is cli._parser()
         assert main(["validate", "--config", str(run_config), "--set", "m=9", "--seed", "4"]) == 0
         assert main(["validate", "--config", str(run_config)]) == 0
@@ -308,6 +308,20 @@ class TestRunSubcommand:
     def test_run_rejects_sweep_config(self, sweep_config, capsys):
         assert main(["run", "--config", str(sweep_config)]) == 2
         assert "sweep" in capsys.readouterr().err
+
+    # A sweep-only key makes a config a sweep just as a list value does.
+    @pytest.mark.parametrize("subcommand", ["run", "trace"])
+    @pytest.mark.parametrize(
+        "override,cause",
+        [("repeats=2", "'repeats' is a sweep-only key"), ("base_seed=1", "'base_seed' is a sweep-only key"),
+         ("C_f=[0.1]", "'C_f' has a list value")],
+    )
+    def test_sweep_key_named_in_error(self, subcommand, override, cause, tmp_path, capsys):
+        assert main([subcommand, "--set", override, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config describes a sweep ({cause}); use the sweep subcommand\n"
+        assert not (tmp_path / "out").exists()
 
     def test_trace_covers_every_tick(self, run_config, tmp_path):
         out_run = tmp_path / "r"

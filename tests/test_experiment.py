@@ -1,7 +1,9 @@
 """Tests for sweep expansion, aggregation and CSV output."""
 
 import csv
+import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hexswarm import experiment
-from hexswarm.engine import RunRecord, TrajectoryPoint
+from hexswarm.engine import RunRecord, SimConfig, TrajectoryPoint
 from hexswarm.errors import ConfigError
 from hexswarm.experiment import (
+    AXES,
     CELL_SUMMARY_COLUMNS,
     SWEEP_RESULTS_COLUMNS,
     TRAJECTORY_COLUMNS,
@@ -119,6 +122,23 @@ class TestExpand:
         spec = SweepSpec(topology="complete", C_r=20, C_f=0.1, epsilon=0.0,
                          repeats=1, **TINY)
         assert len(expand(spec)) == 1
+
+    def test_every_fixed_setting_reaches_every_cell(self):
+        fixed = dict(m=6, hex_disc_radius=2, max_ticks=700, speed=2.5, sample_every=35)
+        assert set(fixed) == {f.name for f in dataclasses.fields(SimConfig)} - {*AXES, "seed"}
+        assert all(value != getattr(SimConfig, name) for name, value in fixed.items())
+        axes = dict(topology=["complete", "lattice:2"], C_r=[15.0, 30.0], C_f=[0.2], epsilon=[0.0, 0.1])
+        spec = SweepSpec(**axes, repeats=2, base_seed=3, **fixed)
+        assert expand(spec) == [
+            (SimConfig(**fixed, topology=t, C_r=c_r, C_f=c_f, epsilon=eps, seed=derive_seed(3, index, trial)), trial)
+            for index, (t, c_r, c_f, eps) in enumerate(product(*axes.values()))
+            for trial in range(2)
+        ]
+
+    def test_default_spec_is_simconfig_default(self):
+        spec = SweepSpec()
+        (cell,) = spec.cells()
+        assert spec.run_config(cell, SimConfig.seed) == SimConfig()
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(5, 2, 7) == derive_seed(5, 2, 7)

@@ -21,8 +21,9 @@ that ran: the parent's full commit id, or for the change this checkout's
 HEAD, with ``git_diff_sha256``, a sha256 of ``git diff HEAD --binary``
 followed by each untracked file's path and contents, leaving out the
 output file. (``bench.py`` itself reads "unknown" in both extracts.) The
-median, quartiles and wins of every end-to-end metric are printed, and
-for wall_s and setup_s also each side's unscaled median. The script
+median, quartiles, wins and gain and loss rules (see ``summarize``) of
+every end-to-end metric are printed, and for wall_s and setup_s also each
+side's unscaled median. The script
 refuses to merge into a file that holds runs against another parent or
 from another host.
 
@@ -83,7 +84,11 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     neither) and whether the gain rule holds: the change wins at least nine
     tenths of the pairs, its median beats the parent's by more than the
     parent's interquartile range, and no larger share of its operations
-    failed than of the parent's.
+    failed than of the parent's. The loss rule is its mirror: the change is
+    worse in at least nine tenths of the pairs, and its median is worse by
+    more than the interquartile range of both sides' runs pooled, each run
+    taken as its distance from its own side's median. (Pooling the raw
+    values would put the gap between the sides inside the range itself.)
 
     ``parent`` and ``change`` are the runs' final JSON lines in pair order;
     ``better`` maps each metric name to "lower" or "higher". A metric that
@@ -100,7 +105,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         p_q1, p_med, p_q3 = quartiles(p)
         c_q1, c_med, c_q3 = quartiles(c)
         wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        losses = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         gain = sign * (p_med - c_med)
+        pooled_q1, _, pooled_q3 = quartiles([v - p_med for v in p] + [v - c_med for v in c])
         summary[name] = {
             "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
             "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
@@ -108,6 +115,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "wins": wins,
             "pairs": len(p),
             "gain_rule_met": 10 * wins >= 9 * len(p) and gain > p_q3 - p_q1 and fails_no_more,
+            "loss_rule_met": 10 * losses >= 9 * len(p) and -gain > pooled_q3 - pooled_q1,
         }
         raw = unscaled_median(parent, name), unscaled_median(change, name)
         if None not in raw:
@@ -123,7 +131,8 @@ def format_summary(summary: dict[str, dict]) -> str:
             f"{name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
             f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] ({100 * s['change_frac']:+.1f}%), "
             f"change better in {s['wins']}/{s['pairs']}, parent IQR {p['q3'] - p['q1']:.3g}, "
-            f"gain rule {'met' if s['gain_rule_met'] else 'not met'}"
+            f"gain rule {'met' if s['gain_rule_met'] else 'not met'}, "
+            f"loss rule {'met' if s['loss_rule_met'] else 'not met'}"
             + (f"; unscaled median parent {p['unscaled_median']:.4g} -> change {c['unscaled_median']:.4g}"
                if "unscaled_median" in p else "")
         )
