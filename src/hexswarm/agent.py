@@ -13,10 +13,10 @@ The tick moves the population with ``move_agents``, one pass that advances
 every agent and detects arrivals exactly as ``advance_position`` and
 ``at_target`` do per agent; the reference model in
 ``tests/reference_model.py`` moves with those, and the tests compare the two.
-``certify_leg`` replaces the steps of a straight leg by its closed form
-(the policy is in the ``engine`` module docstring), and ``replay_leg``
-steps ``advance_position`` from the leg's origin to give, bit for bit,
-the position stepping would have reached mid-leg.
+On a leg's first move tick, ``move_agents`` may replace the leg's steps by
+its closed form (the policy is in the ``engine`` module docstring), and
+``replay_leg`` steps ``advance_position`` from the leg's origin to give,
+bit for bit, the position stepping would have reached mid-leg.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .environment import ARRIVAL_RADIUS, HexGrid, NoiseModel, observe
 # ``errors.RULES`` (hex_disc_radius <= 300, at ``environment.CIRCUMRADIUS`` 10)
 # gives X < 5200 < 2**13, so for every j <= _MAX_LEG_STEPS = 2**15 the error
 # stays below (20 * 2**15 + 24) * 2**-40 < 6e-7 < _LEG_MARGIN. It bounds
-# ``certify_leg``'s k steps, and ``move_agents``' arrival band (j = 1). A
-# leg of more steps (a small speed) is stepped.
+# a certified leg's k steps and the arrival band (j = 1), both in
+# ``move_agents``. A leg of more steps (a small speed) is stepped.
 _LEG_MARGIN = 1e-6
 _MAX_LEG_STEPS = 2**15
 
@@ -82,9 +82,11 @@ class AgentState:
 
     ``dest`` is the one cell the agent heads for: the target proposition it
     travels to investigate, or once saturated its wander waypoint (None
-    until the first is drawn). ``landing`` is the tick on which a certified
-    leg (``certify_leg``) lands, or -1; ``origin`` and ``departure`` are
-    where that leg starts and the tick of its first step, which
+    until the first is drawn). ``landing`` is -1 for a fresh leg, not yet
+    tried for certification (``move_agents``); the tick it was tried on,
+    for a leg that is stepped; and, while the agent waits on a certified
+    leg, the later tick on which it lands. ``origin`` and ``departure``
+    are where a certified leg starts and the tick of its first step, which
     ``replay_leg`` steps from.
     """
 
@@ -172,9 +174,14 @@ def on_fusion(agent: AgentState, partner_belief: Belief, rng: np.random.Generato
     keeps its waypoint, on which its later draws depend. An agent left
     exploring draws a fresh target if it was saturated (a waypoint is not a
     target) or if fusion settled the proposition it was travelling to.
+
+    Either way the leg is fresh again (``landing = -1``): ``move_agents``
+    tries it from here, as a fusion may leave it in a certified mode.
+    Under the engine's policy an agent that can fuse never waits.
     """
     fused = fuse_beliefs(agent.belief, partner_belief)
     agent.belief = fused
+    agent.landing = -1
     wandering = agent.mode is SATURATED
     if fused.is_certain():
         if not wandering:
@@ -227,48 +234,6 @@ def at_target(agent: AgentState, grid: HexGrid) -> bool:
     return math.hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS
 
 
-def certify_leg(
-    agent: AgentState, centers: tuple[tuple[float, float], ...], start: int, certified: frozenset[Mode]
-) -> None:
-    """Every place a leg starts calls this: skip the leg's steps if the
-    agent's mode is in ``certified`` (see the ``engine`` module docstring).
-
-    The leg runs from the agent's position to the center of its ``dest``
-    (none before a saturated agent's first waypoint is drawn), and its
-    first step is taken on tick ``start``. It is certified when its closed
-    form is far enough from every threshold (see ``_LEG_MARGIN``) that
-    stepping would snap onto the center on tick ``start + k`` and, for a
-    target, arrive nowhere before. The agent is then placed on the center
-    with ``landing = start + k``, and ``move_agents`` passes it over until
-    that tick, where it snaps from distance 0 with the same draws as a
-    stepped leg. Otherwise the agent is left as it was and steps. A
-    certified agent also keeps its position as the leg's ``origin`` and
-    ``start`` as its ``departure``, from which ``replay_leg`` steps.
-    """
-    mode = agent.mode
-    if mode not in certified:
-        return
-    dest = agent.dest
-    if dest is None:
-        return
-    # The last step ends rest from a target: no arrival before landing.
-    low = _LEG_MARGIN if mode is SATURATED else ARRIVAL_RADIUS + _LEG_MARGIN
-    cx, cy = centers[dest - 1]
-    speed = agent.speed
-    # The expression the leg's first step computes.
-    dist = math.hypot(cx - agent.x, cy - agent.y)
-    steps = (dist - speed) / speed
-    if steps < _MAX_LEG_STEPS:
-        k = math.ceil(steps)
-        rest = dist - k * speed
-        if low < rest < speed - _LEG_MARGIN:
-            agent.origin = (agent.x, agent.y)
-            agent.departure = start
-            agent.x = cx
-            agent.y = cy
-            agent.landing = start + k
-
-
 def replay_leg(agent: AgentState, grid: HexGrid, now: int) -> None:
     """Move an agent waiting on a certified leg to where stepping would have
     it when tick ``now`` starts: ``now - departure`` calls of
@@ -299,13 +264,19 @@ def move_agents(
     arrived agents in list order; no arrival is handled here, so every
     movement draw of a tick comes before every arrival draw.
 
-    ``now`` is the tick's index. An agent whose ``landing`` is later is on
-    a certified leg (``certify_leg``) and is passed over; on its landing
-    tick it sits on the center and snaps there like any other. Each drawn
-    waypoint starts a leg (``certify_leg`` with ``certified``); a snap's
-    redraw tests ``SATURATED in certified``, read once per pass, so that
-    in a social run it makes no call. With the defaults, and agents built
-    with ``landing = -1``, every agent steps.
+    ``now`` is the tick's index. A fresh leg (``landing`` -1, see
+    ``AgentState``) is tried once, on its first move tick, from the
+    distance just computed. If the agent's mode is in ``certified`` (the
+    ``engine`` module docstring's policy) and the leg's closed form is far
+    enough from every threshold (``_LEG_MARGIN``) that stepping would snap
+    onto the center on tick ``now + k`` and, for a target, arrive nowhere
+    before, the agent is placed on the center with ``landing = now + k``,
+    keeping its position as ``origin`` and ``now`` as ``departure`` for
+    ``replay_leg``. It is passed over until that tick, where it snaps from
+    distance 0 with the same draws as a stepped leg. Any other leg is
+    stepped, with ``landing = now`` marking it tried. A snap or an arrival
+    sets ``landing`` back to -1, as ``on_fusion`` does. With the default
+    ``certified`` every agent steps.
 
     A saturated agent's ``dest`` is a waypoint, not a target, so it never
     arrives. Any other agent holds a target (no engine path leaves it
@@ -323,17 +294,14 @@ def move_agents(
     # measurable share of this loop.
     hypot = math.hypot
     reach = ARRIVAL_RADIUS + _LEG_MARGIN
-    saturated_certified = SATURATED in certified
     arrived = []
     for agent in agents:
-        if agent.landing > now:
+        landing = agent.landing
+        if landing > now:
             continue
         dest = agent.dest
         if dest is None:  # a saturated agent's first waypoint
             dest = agent.dest = int(rng.integers(n)) + 1
-            certify_leg(agent, centers, now, certified)
-            if agent.landing > now:
-                continue
         cx, cy = centers[dest - 1]
         dx = cx - agent.x
         dy = cy - agent.y
@@ -342,18 +310,35 @@ def move_agents(
         if dist <= speed:
             agent.x = cx
             agent.y = cy
+            agent.landing = -1
             if agent.mode is SATURATED:
                 agent.dest = int(rng.integers(n)) + 1
-                if saturated_certified:
-                    certify_leg(agent, centers, now + 1, certified)
             else:  # snapped onto the target's center
                 arrived.append(agent)
-        else:
-            scale = speed / dist
-            agent.x += dx * scale
-            agent.y += dy * scale
-            if dist > speed + reach or agent.mode is SATURATED:
-                continue
-            if hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS:
-                arrived.append(agent)
+            continue
+        if landing < 0:
+            agent.landing = now
+            mode = agent.mode
+            if mode in certified:
+                steps = (dist - speed) / speed
+                if steps < _MAX_LEG_STEPS:
+                    k = math.ceil(steps)
+                    rest = dist - k * speed
+                    # The last step ends rest from a target: no arrival before landing.
+                    low = _LEG_MARGIN if mode is SATURATED else reach
+                    if low < rest < speed - _LEG_MARGIN:
+                        agent.origin = (agent.x, agent.y)
+                        agent.departure = now
+                        agent.x = cx
+                        agent.y = cy
+                        agent.landing = now + k
+                        continue
+        scale = speed / dist
+        agent.x += dx * scale
+        agent.y += dy * scale
+        if dist > speed + reach or agent.mode is SATURATED:
+            continue
+        if hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS:
+            agent.landing = -1
+            arrived.append(agent)
     return arrived

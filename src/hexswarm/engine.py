@@ -50,17 +50,17 @@ broadcasters, saturated agents included when ``C_f > 0``. So ``run``
 decides once which modes' straight legs skip their steps,
 ``SimState.certified``: none with ``on_tick``, which may read every
 position; exploring when ``C_f > 0``; exploring and saturated when
-``C_f == 0``. Each of the four places a leg starts calls
-``agent.certify_leg`` with the set: ``run``'s first targets, an arrival,
-a fusion and a waypoint draw in ``agent.move_agents``. A certified agent
-waits on the leg's center, and phase 1 passes it over until the tick on
-which stepping would snap it there, when it lands, draws and arrives in
-its id-order place; a leg too close to a threshold for its closed form
-to be certain of that tick is stepped. So the record and every draw are
-unchanged, but positions mid-leg are not kept: before each ``on_row``
-call, ``run`` replays every waiting agent's steps (``agent.replay_leg``)
-and afterwards puts it back. ``tick`` called directly, with the set
-left empty, steps every agent.
+``C_f == 0``. Phase 1 (``agent.move_agents``) tries each leg once, on
+its first move tick, and the engine touches no leg itself. A certified
+agent waits on the leg's center, and phase 1 passes it over until the
+tick on which stepping would snap it there, when it lands, draws and
+arrives in its id-order place; a leg too close to a threshold for its
+closed form to be certain of that tick is stepped. An agent that can
+fuse is a broadcaster, so it never waits. So the record and every draw
+are unchanged, but positions mid-leg are not kept: before each
+``on_row`` call, ``run`` replays every waiting agent's steps
+(``agent.replay_leg``) and afterwards puts it back. ``tick`` called
+directly, with the set left empty, steps every agent.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .agent import (
     SATURATED,
     AgentState,
     Mode,
-    certify_leg,
     move_agents,
     on_arrival,
     on_fusion,
@@ -298,9 +297,6 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     if not adjacency:
         return
     rng = state.rng
-    centers = state.grid.centers
-    start = state.tick_index + 1
-    certified = state.certified
     matched: set[int] = set()
     # Shuffling the id list in place makes the same draws, and gives the
     # same order, as indexing it through rng.permutation(len(broadcasters)):
@@ -320,8 +316,6 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
         belief_j = agents[j].belief
         on_fusion(agents[i], belief_j, rng)
         on_fusion(agents[j], belief_i, rng)
-        certify_leg(agents[i], centers, start, certified)
-        certify_leg(agents[j], centers, start, certified)
         matched.add(i)
         matched.add(j)
         state.fusion_events += 1
@@ -341,12 +335,10 @@ def tick(state: SimState) -> SimState:
     cfg = state.config
     agents = state.agents
     rng = state.rng
-    now = state.tick_index
     state.last_fusions = []
-    state.last_arrivals = move_agents(agents, state.grid, rng, now, state.certified)
+    state.last_arrivals = move_agents(agents, state.grid, rng, state.tick_index, state.certified)
     for agent in state.last_arrivals:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
-        certify_leg(agent, state.grid.centers, now + 1, state.certified)
 
     if cfg.C_f > 0:
         broadcasters = [a.id for a in agents if a.mode is not EXPLORING]
@@ -411,11 +403,9 @@ def run(
     state.certified = frozenset(modes)
     trajectory = [_sample(state)]
     if on_row is not None:
-        on_row(state)  # before any leg is certified
+        on_row(state)
     if on_tick is not None:
         on_tick(state, True)
-    for agent in state.agents:
-        certify_leg(agent, state.grid.centers, 0, state.certified)
     observed = on_tick is not None or on_row is not None
     converged = False
     for t in range(1, config.max_ticks + 1):

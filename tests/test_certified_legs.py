@@ -1,6 +1,7 @@
-"""Certified legs (``agent.certify_leg``) against stepping them with the
-reference model's ``move``, tick by tick: the same arrival tick, the same
-snap onto the center and the same draws, or no certification at all. And
+"""Certified legs (``agent.move_agents`` with a ``certified`` set) against
+stepping them with the reference model's ``move``, tick by tick: the same
+arrival tick, the same snap onto the center and the same draws, or no
+certification at all. Each leg is tried once, on its first move tick. And
 their replay (``agent.replay_leg``) against stepping: the same position,
 bit for bit, on every tick mid-leg."""
 
@@ -19,8 +20,8 @@ from hexswarm.agent import (
     AgentState,
     Mode,
     advance_position,
-    certify_leg,
     move_agents,
+    on_fusion,
     replay_leg,
 )
 from hexswarm.belief import UNKNOWN, Belief
@@ -60,19 +61,44 @@ def stepped(agents, grid):
 
 
 def certified(agents, grid, start=0):
-    """Arrivals of copies of ``agents`` after ``certify_leg`` with the first
-    step on tick ``start``, moved by ``move_agents``; and the ids certified."""
+    """Arrivals of copies of ``agents`` moved by ``move_agents`` with every
+    mode certified, the first move on tick ``start``; and the ids of the
+    agents that waited on a certified leg."""
     agents = copy.deepcopy(agents)
-    for agent in agents:
-        certify_leg(agent, grid.centers, start, ALL)
     rng = np.random.default_rng(0)
-    found = arrivals(agents, lambda moving, t: move_agents(moving, grid, rng, now=start + t))
-    for agent in agents:
-        if agent.landing >= 0:
-            # A certified agent lands on its landing tick, on the center.
-            assert found[agent.id] == (agent.landing - start, *grid.centers[agent.dest - 1])
+    landings = {}
+
+    def move(moving, t):
+        now = start + t
+        arrived = move_agents(moving, grid, rng, now=now, certified=ALL)
+        for agent in moving:
+            if agent.landing > now:
+                # Tried once, on the leg's first move tick.
+                assert agent.departure == start
+                landings[agent.id] = agent.landing
+        return arrived
+
+    found = arrivals(agents, move)
+    for i, landing in landings.items():
+        # A certified agent lands on its landing tick, on the center.
+        assert found[i] == (landing - start, *grid.centers[agents[i].dest - 1])
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-    return found, {a.id for a in agents if a.landing >= 0}
+    return found, set(landings)
+
+
+def first_move(agents, grid, start=0):
+    """One move of copies of ``agents`` by ``move_agents`` on tick ``start``,
+    with every mode certified: no agent waits, and each has stepped, with the
+    same draws, as the reference model's ``move`` steps it. Returns the
+    moved copies."""
+    moved, expected = copy.deepcopy(agents), copy.deepcopy(agents)
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    move_agents(moved, grid, rng, now=start, certified=ALL)
+    reference_model.move(expected, grid, ref_rng)
+    assert [a.landing > start for a in moved] == [False] * len(moved)
+    assert [(a.x, a.y, a.dest) for a in moved] == [(a.x, a.y, a.dest) for a in expected]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return moved
 
 
 def assert_agrees(legs, grid, speed, start=0):
@@ -127,18 +153,15 @@ def test_tiny_speed_certifies_only_legs_within_the_step_bound():
     one snaps on its landing tick when stepped."""
     grid = build_grid(2)
     speed = 1e-3
-    explorer = explorers([(0.0, 0.0, 1)], grid, speed)[0]
-    certify_leg(explorer, grid.centers, 0, ALL)
-    assert explorer.landing == -1
+    first_move(explorers([(0.0, 0.0, 1)], grid, speed), grid)
     certain = Belief.from_string("1" * grid.n)
     legs = [AgentState(i, 0.0, 0.0, certain, mode=Mode.SATURATED, dest=i + 1, speed=speed) for i in range(grid.n)]
     agents = copy.deepcopy(legs)
-    for agent in agents:
-        certify_leg(agent, grid.centers, 0, ALL)
+    move_agents(agents, grid, np.random.default_rng(0), now=0, certified=ALL)
     over = [(math.hypot(*grid.centers[a.dest - 1]) - speed) / speed >= _MAX_LEG_STEPS for a in agents]
     assert sum(over) == 6
-    assert all(a.landing == -1 for a, o in zip(agents, over) if o)
-    landings = {a.id: a.landing for a in agents if a.landing >= 0}
+    first_move([a for a, o in zip(legs, over) if o], grid)
+    landings = {a.id: a.landing for a in agents if a.landing > 0}
     assert landings
     moving = [a for a in legs if a.id in landings]
     rng, t = np.random.default_rng(0), 0
@@ -160,11 +183,8 @@ def test_exact_ties_are_not_certified():
         (0.0, 19.0, top),  # 11 at speed 5: rest == ARRIVAL_RADIUS, a band arrival
         (0.0, 19.0 - _LEG_MARGIN / 2, top),  # rest == ARRIVAL_RADIUS + _LEG_MARGIN / 2
     ]
-    agents = explorers(ties, grid, 5.0)
-    for agent in agents:
-        certify_leg(agent, grid.centers, 0, ALL)
-    assert [a.landing for a in agents] == [-1] * len(ties)
-    assert [a.y for a in agents] == [y for _, y, _ in ties]
+    moved = first_move(explorers(ties, grid, 5.0), grid)
+    assert all((a.x, a.y) != grid.centers[top - 1] for a in moved)  # none placed on the center
     # The rest == ARRIVAL_RADIUS leg arrives in the band, off the center.
     assert stepped(explorers(ties[2:3], grid, 5.0), grid)[0] == (1, 0.0, 30.0 - ARRIVAL_RADIUS)
     # Past the margin the same leg is certified.
@@ -174,17 +194,88 @@ def test_exact_ties_are_not_certified():
     multiples = [(x, y, d) for x, y in centers for d in range(1, grid.n + 1)
                  if round(math.hypot(x - grid.centers[d - 1][0], y - grid.centers[d - 1][1]), 9) in (30.0, 60.0, 90.0)]
     assert len(multiples) > 100
-    agents = explorers(multiples, grid, 5.0)
-    for agent in agents:
-        certify_leg(agent, grid.centers, 0, ALL)
-    assert all(a.landing == -1 for a in agents)
+    first_move(explorers(multiples, grid, 5.0), grid)
+
+
+def test_a_leg_past_the_step_bound_is_stepped_to_its_snap():
+    """A wander leg at speed 1e-3 of more than ``_MAX_LEG_STEPS`` steps is
+    tried once, on its first move tick, and stepped to its snap as the
+    reference model steps it. It never waits, not even once fewer than
+    ``_MAX_LEG_STEPS`` steps remain: ``landing`` keeps that first tick until
+    the snap draws the next waypoint, and then reads -1."""
+    grid = build_grid(2)
+    speed = 1e-3
+    dest = next(d for d in range(1, grid.n + 1)
+                if (math.hypot(*grid.centers[d - 1]) - speed) / speed >= _MAX_LEG_STEPS)
+    certain = Belief.from_string("1" * grid.n)
+    agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, dest=dest, speed=speed)
+    expected = copy.deepcopy(agent)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    now = 0
+    while agent.dest == dest:
+        move_agents([agent], grid, rng, now=now, certified=ALL)
+        reference_model.move([expected], grid, ref_rng)
+        assert (agent.x, agent.y, agent.dest) == (expected.x, expected.y, expected.dest)
+        assert agent.landing == (0 if agent.dest == dest else -1)
+        now += 1
+    assert now > _MAX_LEG_STEPS
+    assert (agent.x, agent.y) == grid.centers[dest - 1]
+
+
+def test_a_band_leg_is_marked_tried_until_it_arrives():
+    """A target leg that ends in the arrival band is tried on its first move
+    tick (7 here) and stepped as the reference model steps it: ``landing``
+    keeps that tick until the agent arrives in the band, off the center, and
+    then reads -1, so the next leg is fresh."""
+    grid = build_grid(6)
+    top = grid.centers.index((0.0, 30.0)) + 1
+    # 25.5 at speed 5: the fifth step ends 0.5 from the center.
+    agent = explorers([(0.0, 4.5, top)], grid, 5.0)[0]
+    expected = copy.deepcopy(agent)
+    now = 7
+    while not move_agents([agent], grid, None, now=now, certified=ALL):
+        assert not reference_model.move([expected], grid, None)
+        assert (agent.x, agent.y, agent.landing) == (expected.x, expected.y, 7)
+        now += 1
+    assert reference_model.move([expected], grid, None) == [expected]
+    assert (agent.x, agent.y, agent.landing) == (expected.x, expected.y, -1)
+    assert now == 11 and (agent.x, agent.y) != grid.centers[top - 1]
+
+
+def test_a_fusion_leaves_a_broadcaster_a_fresh_leg():
+    """A broadcaster stepping a leg it tried on an earlier tick, which a
+    fusion leaves exploring, waits after the next move tick exactly when the
+    closed form certifies the leg from where the fusion left it: k =
+    ceil((d - speed) / speed) steps, the last ending rest = d - k * speed
+    from the center, more than the margin clear of the arrival band and of
+    the speed. It then lands on tick now + k."""
+    grid = build_grid(3)
+    speed, now = 5.0, 10
+    outcomes = {True: 0, False: 0}
+    for x, y in [(0.0, 0.0), (1.3, -0.7), *grid.centers[::2]]:
+        for dest in range(1, grid.n + 1):
+            cx, cy = grid.centers[dest - 1]
+            d = math.hypot(cx - x, cy - y)
+            if d <= speed:
+                continue
+            agent = AgentState(0, x, y, Belief.unknown(grid.n), speed, Mode.BROADCASTING, dest, landing=3)
+            # An all-Unknown partner leaves the belief and the target as they
+            # are, so the fusion draws nothing.
+            on_fusion(agent, Belief.unknown(grid.n), None)
+            assert (agent.mode, agent.dest, agent.landing) == (Mode.EXPLORING, dest, -1)
+            move_agents([agent], grid, None, now=now, certified=frozenset({Mode.EXPLORING}))
+            k = math.ceil((d - speed) / speed)
+            certifies = ARRIVAL_RADIUS + _LEG_MARGIN < d - k * speed < speed - _LEG_MARGIN
+            assert agent.landing == (now + k if certifies else now)
+            outcomes[certifies] += 1
+    assert min(outcomes.values()) > 20
 
 
 @pytest.mark.parametrize("speed", SPEEDS + (0.9,))
 def test_wandering_agents_draw_as_stepping_ones_do(speed):
-    """With saturated agents certified, every waypoint leg is certified where
-    it is drawn: the waypoints, the draws and the position whenever an agent
-    is not on a certified leg match stepping, tick by tick."""
+    """With saturated agents certified, every waypoint leg is tried on its
+    first move tick: the waypoints, the draws and the position whenever an
+    agent is not waiting on a certified leg match stepping, tick by tick."""
     grid = build_grid(3)
     certain = Belief.from_string("1" * grid.n)
     agents = [
@@ -203,7 +294,8 @@ def test_wandering_agents_draw_as_stepping_ones_do(speed):
         for a, b in zip(agents, expected):
             if a.landing <= t:
                 assert (a.x, a.y) == (b.x, b.y)
-            legs.add((a.id, a.landing))
+            else:
+                legs.add((a.id, a.landing))
     assert len(legs) > 20
 
 
@@ -221,23 +313,32 @@ def test_observed_runs_keep_every_position(config):
     agent on every tick, as the reference model does."""
     expected = []
     reference_model.run(config, lambda state, _: expected.append([(a.x, a.y) for a in state.agents]))
-    seen = []
-    engine.run(config, lambda state, _: seen.append([(a.x, a.y, a.landing) for a in state.agents]))
-    assert [[p[:2] for p in row] for row in seen] == expected
-    assert {p[2] for row in seen for p in row} == {-1}
+    seen, waiting = [], []
+
+    def on_tick(state, _):
+        seen.append([(a.x, a.y) for a in state.agents])
+        # The last move tick is tick_index - 1: no agent waits past it.
+        waiting.extend(a.id for a in state.agents if a.landing >= state.tick_index)
+
+    engine.run(config, on_tick)
+    assert seen == expected
+    assert waiting == []
     state = engine.initialize(config)
     ticked = [[(a.x, a.y) for a in state.agents]]
     for _ in range(len(expected) - 1):
         engine.tick(state)
         ticked.append([(a.x, a.y) for a in state.agents])
+        waiting.extend(a.id for a in state.agents if a.landing >= state.tick_index)
     assert ticked == expected
+    assert waiting == []
 
 
 @pytest.mark.parametrize("config", SOCIAL[1:], ids=lambda c: f"C_f={c.C_f},speed={c.speed}")
 def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
     """Without a callback, broadcasters and saturated agents of a social run
-    step, and an agent that a fusion leaves exploring starts a leg that is
-    certified as ``certify_leg`` certifies it from where the fusion left it."""
+    step, and an agent that a fusion leaves exploring starts a fresh leg that
+    the next move tick certifies as ``move_agents`` certifies a fresh
+    exploring leg from where the fusion left it."""
     fused = []
     restarted = 0
 
@@ -245,20 +346,26 @@ def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
         engine_on_fusion(agent, belief, rng)
         fused.append((agent, copy.deepcopy(agent)))
 
-    def checked_tick(state):
+    def checked_move(agents, grid, rng, now, certified):
         nonlocal restarted
-        now = state.tick_index
-        tick(state)
-        assert all(a.landing <= now for a in state.agents if a.mode is not Mode.EXPLORING)
+        arrived = move_agents(agents, grid, rng, now, certified)
         for agent, found in fused:
             if found.mode is Mode.EXPLORING:
-                certify_leg(found, state.grid.centers, now + 1, frozenset({Mode.EXPLORING}))
+                # An explorer draws nothing: no generator is needed.
+                move_agents([found], grid, None, now, frozenset({Mode.EXPLORING}))
                 assert (agent.x, agent.y, agent.landing) == (found.x, found.y, found.landing)
                 restarted += found.landing > now
         fused.clear()
+        return arrived
+
+    def checked_tick(state):
+        now = state.tick_index
+        tick(state)
+        assert all(a.landing <= now for a in state.agents if a.mode is not Mode.EXPLORING)
 
     engine_on_fusion, tick = engine.on_fusion, engine.tick
     monkeypatch.setattr(engine, "on_fusion", on_fusion)
+    monkeypatch.setattr(engine, "move_agents", checked_move)
     monkeypatch.setattr(engine, "tick", checked_tick)
     record = engine.run(config)
     monkeypatch.undo()
@@ -270,11 +377,13 @@ def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
 @pytest.mark.parametrize("config", SOCIAL, ids=lambda c: f"C_f={c.C_f},speed={c.speed}")
 def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
     """``engine.run`` itself, with no observer and with ``on_row``, starts
-    waiting legs (``landing`` past the tick) at every place a leg starts:
-    the first targets, an arrival that leaves the agent exploring, a fusion
-    in a social run, and an asocial waypoint, both a first one (first step this tick) and one
-    drawn on a snap (first step next tick). No broadcasting agent, and no
-    saturated agent of a social run, ever waits."""
+    waiting legs (``landing`` past the tick) from every place a leg starts,
+    on the leg's first move tick: the first targets (tick 0), the previous
+    tick's arrival that left the agent exploring or its fusion in a social
+    run, and an asocial waypoint, both a first one (drawn this tick) and one
+    drawn on the previous tick's snap. A waiting leg was fresh (``landing``
+    -1) when that tick began, and departs on it. No broadcasting agent, and
+    no saturated agent of a social run, ever waits."""
     social = config.C_f > 0
     arrived, fused, sites = set(), set(), set()
 
@@ -288,23 +397,28 @@ def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
 
     def checked_tick(state):
         now = state.tick_index
-        if now == 0 and any(a.landing > 0 for a in state.agents):
-            sites.add("first targets")
-        before = [a.landing for a in state.agents]
+        before = [(a.landing, a.dest) for a in state.agents]
+        last_arrived, last_fused = set(arrived), set(fused)
         arrived.clear()
         fused.clear()
         tick(state)
-        for agent, landing in zip(state.agents, before):
+        for agent, (landing, dest) in zip(state.agents, before):
             waits = agent.landing > now
             assert not (waits and (agent.mode is Mode.BROADCASTING or social and agent.mode is Mode.SATURATED))
             if waits and agent.landing != landing:
-                if agent.id in fused:
+                assert (landing, agent.departure) == (-1, now)
+                if now == 0:
+                    sites.add("first targets")
+                elif dest is None:
+                    assert agent.mode is Mode.SATURATED
+                    sites.add("first waypoint")
+                elif agent.id in last_fused:
                     sites.add("fusion")
-                elif agent.id in arrived:
+                elif agent.id in last_arrived:
                     sites.add("arrival")
                 else:
                     assert agent.mode is Mode.SATURATED
-                    sites.add("first waypoint" if agent.departure == now else "waypoint")
+                    sites.add("waypoint")
 
     engine_on_arrival, engine_on_fusion, tick = engine.on_arrival, engine.on_fusion, engine.tick
     monkeypatch.setattr(engine, "on_arrival", on_arrival)
@@ -318,13 +432,14 @@ def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
 
 
 def replays_as_stepped(agent, grid, start, ticks=None):
-    """Certify ``agent`` with its first step on tick ``start`` and check that
-    ``replay_leg`` puts it, on each of the ``ticks`` from ``start`` (zero
-    steps) to its landing tick (all its steps before the snap), where
-    stepping a copy that many times does. Returns whether it was certified."""
+    """Move ``agent`` on tick ``start``, its leg's first move tick, with
+    every mode certified, and if it then waits, check that ``replay_leg``
+    puts it, on each of the ``ticks`` from ``start`` (zero steps) to its
+    landing tick (all its steps before the snap), where stepping a copy that
+    many times does. Returns whether it was certified."""
     stepping = copy.deepcopy(agent)
-    certify_leg(agent, grid.centers, start, ALL)
-    if agent.landing < 0:
+    move_agents([agent], grid, np.random.default_rng(0), now=start, certified=ALL)
+    if agent.landing <= start:
         return False
     assert agent.origin == (stepping.x, stepping.y) and agent.departure == start
     center = (agent.x, agent.y)
@@ -372,8 +487,8 @@ def test_replay_at_a_tiny_speed():
     for dest in range(1, grid.n + 1):
         agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, dest=dest, speed=1e-3)
         probe = copy.deepcopy(agent)
-        certify_leg(probe, grid.centers, 3, ALL)
-        if probe.landing < 0:
+        move_agents([probe], grid, None, now=3, certified=ALL)
+        if probe.landing <= 3:
             continue
         k = probe.landing - 3
         done += replays_as_stepped(agent, grid, start=3, ticks={0, 1, 2, 777, k // 2, k - 1, k})

@@ -21,10 +21,11 @@ differ. The exit code is 0 when every mutant is killed or explained, 1
 otherwise, and 2 when an ``old`` text does not occur exactly once or the
 unmutated tree fails.
 
-Only the standard library is used. The suite runs once per mutant, a few
-minutes in all, so the check is kept out of the tier-1 tests; the tier-1
-test ``tests/test_mutants.py`` only checks that every ``old`` text is still
-in place.
+Only the standard library is used. The suite runs once per mutant, about a
+quarter hour in all (875 s for the unmutated tree and 38 mutants on a
+shared 2-core x86_64 VM), so the check is kept out of the tier-1 tests; the
+tier-1 test ``tests/test_mutants.py`` only checks that every ``old`` text
+is still in place.
 """
 
 from __future__ import annotations
