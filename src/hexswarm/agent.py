@@ -175,11 +175,23 @@ def on_fusion(agent: AgentState, partner_belief: Belief, rng: np.random.Generato
     exploring draws a fresh target if it was saturated (a waypoint is not a
     target) or if fusion settled the proposition it was travelling to.
 
-    Either way the leg is fresh again (``landing = -1``): ``move_agents``
-    tries it from here, as a fusion may leave it in a certified mode.
-    Under the engine's policy an agent that can fuse never waits.
+    A saturated agent whose certain belief equals the partner's returns at
+    once: the fused belief would be its own, so it keeps its belief, mode,
+    waypoint and leg. Any other agent's leg is fresh again (``landing =
+    -1``): ``move_agents`` tries it from here, as a fusion may leave it in
+    a certified mode. Under the engine's policy an agent that can fuse
+    never waits, and a saturated one is never certified, so keeping its
+    leg as tried changes nothing.
     """
-    fused = fuse_beliefs(agent.belief, partner_belief)
+    belief = agent.belief
+    if (
+        agent.mode is SATURATED
+        and partner_belief.known == belief.known
+        and partner_belief.true == belief.true
+        and belief.is_certain()
+    ):
+        return agent
+    fused = fuse_beliefs(belief, partner_belief)
     agent.belief = fused
     agent.landing = -1
     wandering = agent.mode is SATURATED

@@ -30,7 +30,10 @@ skipped entirely whenever fewer than two agents are broadcasting, which
 leaves no observable trace because nothing in them consumes randomness.
 
 ``run`` checks for convergence only after a tick with an arrival or a
-fusion, the only events that change a mode or a belief.
+fusion of two different beliefs (``SimState.informative_fusion``). Only
+arrivals and fusions change a mode or a belief, and a fusion of equal
+beliefs changes no belief and saturates no agent, so it cannot complete
+convergence.
 
 An asocial run whose agents are all saturated can no longer change: a
 saturated agent heads for a wander waypoint, not a target, so none
@@ -196,10 +199,13 @@ class SimState:
     tick_index: int = 0
     fusion_events: int = 0
     # Fusion pairs formed and agents that arrived at their target cell
-    # (in id order) during the most recent tick; ``run`` skips the
-    # convergence check when both are empty.
+    # (in id order) during the most recent tick.
     last_fusions: list[tuple[int, int]] = field(default_factory=list)
     last_arrivals: list[AgentState] = field(default_factory=list)
+    # Whether the most recent tick fused a pair whose beliefs differed, the
+    # only kind of fusion that changes a belief. ``run`` skips the
+    # convergence check when this is False and ``last_arrivals`` is empty.
+    informative_fusion: bool = False
     # Set by ``run`` once no tick can change a mode or a belief, when it
     # also leaves both lists above empty; ``tick`` then only advances
     # ``tick_index``.
@@ -303,8 +309,10 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     # both swap by one random_interval draw per position, last to first.
     order = broadcasters.copy()
     rng.shuffle(order)
-    for i in order:
-        if i in matched or i not in adjacency:
+    # Only broadcasters with an eligible partner can fuse; they are visited
+    # in the shuffled order, which is all the matching reads of it.
+    for i in sorted(adjacency, key=order.index):
+        if i in matched:
             continue
         candidates = [j for j in adjacency[i] if j not in matched]
         if not candidates:
@@ -314,6 +322,9 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
         j = candidates[0] if len(candidates) == 1 else candidates[int(rng.integers(len(candidates)))]
         belief_i = agents[i].belief
         belief_j = agents[j].belief
+        # Masks compared inline: Belief.__eq__ is a Python-level call.
+        if belief_i.known != belief_j.known or belief_i.true != belief_j.true:
+            state.informative_fusion = True
         on_fusion(agents[i], belief_j, rng)
         on_fusion(agents[j], belief_i, rng)
         matched.add(i)
@@ -336,6 +347,7 @@ def tick(state: SimState) -> SimState:
     agents = state.agents
     rng = state.rng
     state.last_fusions = []
+    state.informative_fusion = False
     state.last_arrivals = move_agents(agents, state.grid, rng, state.tick_index, state.certified)
     for agent in state.last_arrivals:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
@@ -411,11 +423,13 @@ def run(
     for t in range(1, config.max_ticks + 1):
         tick(state)
         # Modes and beliefs change only in on_arrival and on_fusion. At tick
-        # 0 every belief is Unknown, so the run has not converged then, and a
-        # tick with neither an arrival nor a fusion leaves every mode and
-        # belief as the previous (unconverged) tick had them, so it cannot
-        # newly converge: the check is needed only after a tick with one.
-        if state.last_arrivals or state.last_fusions:
+        # 0 every belief is Unknown, so the run has not converged then. A
+        # fusion of equal beliefs changes no belief: it leaves two saturated
+        # agents as they were, or turns two broadcasters into explorers. So
+        # a tick with neither an arrival nor an informative fusion saturates
+        # no agent and changes no belief, and cannot newly converge: the
+        # check is needed only after a tick with one.
+        if state.last_arrivals or state.informative_fusion:
             # Arrivals first: an unsaturated arrival, the usual case, skips the full scan.
             arrivals_saturated = all(a.mode is SATURATED for a in state.last_arrivals)
             saturated = arrivals_saturated and all(a.mode is SATURATED for a in state.agents)

@@ -140,6 +140,26 @@ class TestOnFusion:
         assert agent.mode is Mode.SATURATED
         assert agent.dest == 4
 
+    def test_identical_saturated_returns_at_once(self):
+        # The no-op half: no fusion, no draw, and the leg stays as it was.
+        belief = Belief.from_string("10")
+        agent = make_agent(belief, mode=Mode.SATURATED, dest=2)
+        agent.landing = 7
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        on_fusion(agent, Belief.from_string("10"), rng)
+        assert agent.belief is belief
+        assert (agent.mode, agent.dest, agent.landing) == (Mode.SATURATED, 2, 7)
+        assert rng.bit_generator.state == before
+
+    def test_identical_uncertain_saturated_drops_to_exploring(self):
+        # Equal masks alone do not make a no-op: the belief must be certain.
+        # TestTargetInvariant.test_after_fusion reaches this case only by chance.
+        agent = make_agent(Belief.from_string("1u"), mode=Mode.SATURATED, dest=1)
+        on_fusion(agent, Belief.from_string("1u"), np.random.default_rng(0))
+        assert agent.mode is Mode.EXPLORING
+        assert agent.dest == 2
+
     def test_fill_in_saturates(self):
         agent = make_agent(Belief.from_string("u1"), mode=Mode.BROADCASTING, dest=1)
         on_fusion(agent, Belief.from_string("01"), np.random.default_rng(0))

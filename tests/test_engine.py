@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from run_differential import assert_run_matches_model
 
+from hexswarm import agent as agent_module
 from hexswarm import engine
 from hexswarm.agent import Mode
 from hexswarm.belief import Belief, GroundTruth, uncertain_indices
@@ -315,6 +316,68 @@ class TestConvergenceSkip:
             previous[:] = current
 
         run(config, on_tick)
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=small_configs())
+    def test_ticks_without_an_informative_fusion_change_no_belief(self, config):
+        # run() checks convergence only after a tick with an arrival or a
+        # fusion of different beliefs (informative_fusion). That is exact
+        # only while a tick with neither changes no belief and saturates no
+        # agent; and the flag is set only when a fusion changed a belief.
+        previous = []
+
+        def on_tick(state, sampled):
+            current = [(a.mode is Mode.SATURATED, a.belief) for a in state.agents]
+            if state.tick_index and not state.last_arrivals:
+                changed = [new != old for (_, old), (_, new) in zip(previous, current)]
+                assert any(changed) is state.informative_fusion, f"tick {state.tick_index}"
+                if not state.informative_fusion:
+                    became = [not was and now for (was, _), (now, _) in zip(previous, current)]
+                    assert not any(became), f"tick {state.tick_index}"
+            previous[:] = current
+
+        run(config, on_tick)
+
+
+class TestTracerCallCounts:
+    """The call-count equalities the benchmark's tracer (``check_run`` in
+    perfbench/tracer.py) demands of every traced run, checked on untraced
+    runs, so a fast path that stops calling one of these fails here too."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(topology="lattice:2", C_f=1.0, epsilon=0.3, seed=0),
+            dict(topology="lattice:2", C_f=1.0, epsilon=0.3, seed=1),
+            dict(topology="complete", C_f=0.1, seed=0),
+            dict(topology="complete", C_f=0.1, epsilon=0.1, seed=2),
+        ],
+    )
+    def test_counts(self, monkeypatch, overrides):
+        calls = dict.fromkeys(["on_arrival", "observe", "update_with_evidence", "tick"], 0)
+        for module, name in [(engine, "on_arrival"), (engine, "tick"), (agent_module, "observe"),
+                             (agent_module, "update_with_evidence")]:
+            def counted(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        # One entry per on_fusion call: whether it is a no-op half, a
+        # saturated agent fused with its own certain belief.
+        fusion_halves = []
+        real_fusion = engine.on_fusion
+
+        def noting_fusion(agent, partner_belief, rng):
+            own = agent.belief
+            fusion_halves.append(agent.mode is Mode.SATURATED and own.is_certain() and own == partner_belief)
+            return real_fusion(agent, partner_belief, rng)
+
+        monkeypatch.setattr(engine, "on_fusion", noting_fusion)
+        record = run(SimConfig(max_ticks=3000, **overrides))
+        assert any(fusion_halves)
+        assert len(fusion_halves) == 2 * record.trajectory[-1].fusion_events
+        assert calls["observe"] == calls["update_with_evidence"] == calls["on_arrival"] > 0
+        assert calls["tick"] == record.terminal_tick
 
 
 class TestIdleMatchesFullPath:

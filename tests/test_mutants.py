@@ -44,3 +44,8 @@ def test_check_texts_reports_a_missing_or_repeated_text(tmp_path):
         "gone: old text occurs 0 times in f.py",
         "noop: old and new are the same",
     ]
+
+
+def test_only_rejects_an_unknown_id_before_running_anything(capsys):
+    assert mutants.main(["--only", "no-such-mutant"]) == 2
+    assert "no-such-mutant: no such entry" in capsys.readouterr().err

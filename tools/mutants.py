@@ -3,7 +3,7 @@
 
 Run from anywhere inside the repository:
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [--only ID [ID ...]]
 
 ``MUTANTS.json`` at the repository root lists the mutants. Each is an exact
 text edit of one file under ``src/`` (``old`` -> ``new``, where ``old``
@@ -15,9 +15,11 @@ survive. The unmutated copy runs first and must pass, or no result would
 mean anything.
 
 Each entry's ``result`` (killed or survived) and ``seconds`` are written
-back into ``MUTANTS.json`` and printed as a table. A survivor is a missing
-test, unless the entry explains in ``equivalent`` why no output or state can
-differ. The exit code is 0 when every mutant is killed or explained, 1
+back into ``MUTANTS.json`` and printed as a table. ``--only`` runs the
+unmutated copy and then only the named entries, and rewrites only their
+``result`` and ``seconds``; every entry's ``old`` text is still checked.
+A survivor is a missing test, unless the entry explains in ``equivalent``
+why no output or state can differ. The exit code is 0 when every mutant is killed or explained, 1
 otherwise, and 2 when an ``old`` text does not occur exactly once or the
 unmutated tree fails.
 
@@ -30,6 +32,7 @@ is still in place.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -83,10 +86,17 @@ def trial(mutant: dict | None) -> tuple[bool, float]:
         return passed, round(time.perf_counter() - start, 1)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these entries of MUTANTS.json")
+    args = parser.parse_args(argv)
     record = json.loads(LIST.read_text())
     mutants = record["mutants"]
     problems = check_texts(mutants)
+    if args.only:
+        known = {m["id"] for m in mutants}
+        problems += [f"{i}: no such entry in {LIST.name}" for i in args.only if i not in known]
+        mutants = [m for m in mutants if m["id"] in args.only]
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 2
