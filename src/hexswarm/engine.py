@@ -207,8 +207,8 @@ class SimState:
     # convergence check when this is False and ``last_arrivals`` is empty.
     informative_fusion: bool = False
     # Set by ``run`` once no tick can change a mode or a belief, when it
-    # also leaves both lists above empty; ``tick`` then only advances
-    # ``tick_index``.
+    # also leaves ``last_fusions`` and ``last_arrivals`` empty; ``tick``
+    # then only advances ``tick_index``.
     idle: bool = False
     # The modes whose legs are certified: the policy in the module docstring.
     certified: frozenset[Mode] = frozenset()
@@ -309,10 +309,8 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
     # both swap by one random_interval draw per position, last to first.
     order = broadcasters.copy()
     rng.shuffle(order)
-    # Only broadcasters with an eligible partner can fuse; they are visited
-    # in the shuffled order, which is all the matching reads of it.
-    for i in sorted(adjacency, key=order.index):
-        if i in matched:
+    for i in order:
+        if i in matched or i not in adjacency:
             continue
         candidates = [j for j in adjacency[i] if j not in matched]
         if not candidates:

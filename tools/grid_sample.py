@@ -3,17 +3,18 @@
 
 Run from anywhere inside the repository:
 
-    python3 tools/grid_sample.py --parent REF --out BENCH_<n>.json [--trials 3] [--passes 5]
+    python3 tools/grid_sample.py --parent REF --out BENCH_<n>.json
 
-The first ``--trials`` trials of every cell of ``configs/fig3.json`` and
+The first ``TRIALS`` trials of every cell of ``configs/fig3.json`` and
 ``configs/fig4_5.json`` (the configs and seeds ``experiment.expand`` gives
 them) are run one at a time with ``engine.run`` and timed with
 ``time.perf_counter``. The parent's committed files and this checkout's
 working-tree files are each put in a fresh temporary directory, as
 ``tools/bench_pairs.py`` does, and each tree runs the whole sample in its
-own fresh process, one process at a time: the parent first in odd passes
-and the change first in even ones. Two engine runs at once would each take
-about twice as long on a 2-core host, so nothing runs beside a pass.
+own fresh process, one process at a time, ``PASSES`` times: the parent
+first in odd passes and the change first in even ones. Two engine runs
+at once would each take about twice as long on a 2-core host, so nothing
+runs beside a pass.
 
 Every trial's record is digested (sha256 of ``RunRecord.to_json``), and
 the digests must agree between the trees and across passes: the script
@@ -43,6 +44,8 @@ from pathlib import Path
 from bench_pairs import copy_worktree, extract, git, host, tree_ids
 
 GRIDS = ("fig3", "fig4_5")
+TRIALS = 3
+PASSES = 5
 
 # Run by ``sys.executable -c`` in a tree, with that tree's ``src`` first on
 # the path. It prints one JSON list of [grid, topology, C_f, cell index,
@@ -72,10 +75,10 @@ print(json.dumps(rows))
 """
 
 
-def sample(tree: Path, trials: int) -> list[list]:
+def sample(tree: Path) -> list[list]:
     """One pass over the sample in a fresh process in ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, "-c", WORKER, str(trials), *GRIDS], cwd=tree, env=env,
+    proc = subprocess.run([sys.executable, "-c", WORKER, str(TRIALS), *GRIDS], cwd=tree, env=env,
                           capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"the sample in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -112,11 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the commit to compare against")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to merge the result into")
-    parser.add_argument("--trials", type=int, default=3, help="trials per cell (default 3)")
-    parser.add_argument("--passes", type=int, default=5, help="passes per tree (default 5)")
     args = parser.parse_args(argv)
-    if args.trials < 1 or args.passes < 1:
-        parser.error("--trials and --passes must be at least 1")
 
     parent_rev = git("rev-parse", "--short", f"{args.parent}^{{commit}}")
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
@@ -125,23 +124,23 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp, side) for side in rows}
         extract(parent_rev, trees["parent"])
         copy_worktree(trees["change"], args.out)
-        for n in range(1, args.passes + 1):
+        for n in range(1, PASSES + 1):
             for side in ("parent", "change") if n % 2 else ("change", "parent"):
-                rows[side].append(sample(trees[side], args.trials))
-            print(f"pass {n}/{args.passes}: parent {sum(r[5] for r in rows['parent'][-1]):.2f} s,"
+                rows[side].append(sample(trees[side]))
+            print(f"pass {n}/{PASSES}: parent {sum(r[5] for r in rows['parent'][-1]):.2f} s,"
                   f" change {sum(r[5] for r in rows['change'][-1]):.2f} s", file=sys.stderr)
 
     digests = {tuple(r[6] for r in run) for side in rows.values() for run in side}
     totals = {side: [group_seconds(run) for run in runs] for side, runs in rows.items()}
     groups = summarize(totals["parent"], totals["change"])
     result = {
-        "command": f"python3 tools/grid_sample.py --parent {parent_rev} --trials {args.trials} --passes {args.passes}",
+        "command": f"python3 tools/grid_sample.py --parent {parent_rev}",
         "host": host(),
         "parent": parent_rev,
         "provenance": tree_ids(parent_rev, args.out),
-        "trials_per_cell": args.trials,
+        "trials_per_cell": TRIALS,
         "runs_per_pass": len(rows["parent"][0]),
-        "passes": args.passes,
+        "passes": PASSES,
         "records_identical": len(digests) == 1,
         "total_s": {side: [round(sum(t.values()), 4) for t in runs] for side, runs in totals.items()},
         "groups": groups,
@@ -153,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for key, g in groups.items():
         print(f"{key:<28} parent {g['parent_s']:8.3f} s  change {g['change_s']:8.3f} s"
-              f"  {100 * g['change_frac']:+6.1f}%  faster in {g['faster_passes']}/{args.passes}")
+              f"  {100 * g['change_frac']:+6.1f}%  faster in {g['faster_passes']}/{PASSES}")
     print(f"records identical across trees and passes: {result['records_identical']}")
     print(f"worse: {', '.join(result['worse']) or 'none'}")
     return 0 if result["records_identical"] else 1
