@@ -14,9 +14,9 @@ every agent and detects arrivals exactly as ``advance_position`` and
 ``at_target`` do per agent; the reference model in
 ``tests/reference_model.py`` moves with those, and the tests compare the two.
 On a leg's first move tick, ``move_agents`` may replace the leg's steps by
-its closed form (the policy is in the ``engine`` module docstring), and
-``replay_leg`` steps ``advance_position`` from the leg's origin to give,
-bit for bit, the position stepping would have reached mid-leg.
+its closed form (the policy is in the ``engine`` module docstring): nothing
+reads a certified agent's position before it lands, so none is kept
+mid-leg.
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ class AgentState:
     until the first is drawn). ``landing`` is -1 for a fresh leg, not yet
     tried for certification (``move_agents``); the tick it was tried on,
     for a leg that is stepped; and, while the agent waits on a certified
-    leg, the later tick on which it lands. ``origin`` and ``departure``
-    are where a certified leg starts and the tick of its first step, which
-    ``replay_leg`` steps from.
+    leg, the later tick on which it lands.
     """
 
     id: int
@@ -98,8 +96,6 @@ class AgentState:
     mode: Mode = EXPLORING
     dest: int | None = None
     landing: int = -1
-    origin: tuple[float, float] = (0.0, 0.0)
-    departure: int = -1
 
     def log_line(self, tick: int) -> str:
         """One trace line: tick, id, x, y, mode, certainty, belief string."""
@@ -212,7 +208,7 @@ def advance_position(agent: AgentState, grid: HexGrid, rng: np.random.Generator)
     A saturated agent draws a random cell as its waypoint when it has none
     and redraws it on reaching it. Movement never overshoots ``dest``.
     This is the reference for the movement half of ``move_agents``, which
-    the tick uses instead, and the step ``replay_leg`` repeats.
+    the tick uses instead.
     """
     dest = agent.dest
     if dest is None:  # only a saturated agent, before its first waypoint
@@ -246,26 +242,13 @@ def at_target(agent: AgentState, grid: HexGrid) -> bool:
     return math.hypot(cx - agent.x, cy - agent.y) <= ARRIVAL_RADIUS
 
 
-def replay_leg(agent: AgentState, grid: HexGrid, now: int) -> None:
-    """Move an agent waiting on a certified leg to where stepping would have
-    it when tick ``now`` starts: ``now - departure`` calls of
-    ``advance_position`` from ``origin``, so the position is the stepped one
-    bit for bit. Certification guarantees that every step before the landing
-    tick is a partial one; a snap would draw from the absent generator and
-    raise. The caller puts the agent back on its center (its waiting
-    position) before the run goes on.
-    """
-    agent.x, agent.y = agent.origin
-    for _ in range(now - agent.departure):
-        advance_position(agent, grid, None)
-
-
 def move_agents(
     agents: list[AgentState],
     grid: HexGrid,
     rng: np.random.Generator,
     now: int = 0,
     certified: frozenset[Mode] = frozenset(),
+    next_row: float = math.inf,
 ) -> list[AgentState]:
     """Phases 1-2 of the tick: move every agent, then say who arrived.
 
@@ -282,13 +265,14 @@ def move_agents(
     ``engine`` module docstring's policy) and the leg's closed form is far
     enough from every threshold (``_LEG_MARGIN``) that stepping would snap
     onto the center on tick ``now + k`` and, for a target, arrive nowhere
-    before, the agent is placed on the center with ``landing = now + k``,
-    keeping its position as ``origin`` and ``now`` as ``departure`` for
-    ``replay_leg``. It is passed over until that tick, where it snaps from
-    distance 0 with the same draws as a stepped leg. Any other leg is
-    stepped, with ``landing = now`` marking it tried. A snap or an arrival
-    sets ``landing`` back to -1, as ``on_fusion`` does. With the default
-    ``certified`` every agent steps.
+    before, and if that tick comes before ``next_row`` (the next tick whose
+    positions an observer reads, so that it never finds the agent mid-leg),
+    the agent is placed on the center with ``landing = now + k``. It is
+    passed over until that tick, where it snaps from distance 0 with the
+    same draws as a stepped leg. Any other leg is stepped, with ``landing =
+    now`` marking it tried. A snap or an arrival sets ``landing`` back to
+    -1, as ``on_fusion`` does. With the default ``certified`` every agent
+    steps; the default ``next_row`` sets no bound.
 
     A saturated agent's ``dest`` is a waypoint, not a target, so it never
     arrives. Any other agent holds a target (no engine path leaves it
@@ -338,9 +322,7 @@ def move_agents(
                     rest = dist - k * speed
                     # The last step ends rest from a target: no arrival before landing.
                     low = _LEG_MARGIN if mode is SATURATED else reach
-                    if low < rest < speed - _LEG_MARGIN:
-                        agent.origin = (agent.x, agent.y)
-                        agent.departure = now
+                    if low < rest < speed - _LEG_MARGIN and now + k < next_row:
                         agent.x = cx
                         agent.y = cy
                         agent.landing = now + k

@@ -50,7 +50,7 @@ positions of wandering agents.
 
 The certification policy. Phases 3-4 read only the positions of
 broadcasters, saturated agents included when ``C_f > 0``. So ``run``
-decides once which modes' straight legs skip their steps,
+decides which modes' straight legs skip their steps,
 ``SimState.certified``: none with ``on_tick``, which may read every
 position; exploring when ``C_f > 0``; exploring and saturated when
 ``C_f == 0``. Phase 1 (``agent.move_agents``) tries each leg once, on
@@ -60,15 +60,22 @@ tick on which stepping would snap it there, when it lands, draws and
 arrives in its id-order place; a leg too close to a threshold for its
 closed form to be certain of that tick is stepped. An agent that can
 fuse is a broadcaster, so it never waits. So the record and every draw
-are unchanged, but positions mid-leg are not kept: before each
-``on_row`` call, ``run`` replays every waiting agent's steps
-(``agent.replay_leg``) and afterwards puts it back. ``tick`` called
-directly, with the set left empty, steps every agent.
+are unchanged, and positions mid-leg are not kept.
+
+``on_row`` reads every position on each trajectory row, so with it no
+row may find an agent waiting. ``run`` keeps the next row's tick in
+``SimState.next_row``, and phase 1 certifies only a leg that lands
+before it. The terminal row of a converged run comes on an unscheduled
+tick; every agent is saturated then, so ``on_row`` leaves saturated legs
+stepped until an asocial run freezes (below), when it can no longer
+converge and ``run`` adds them to the set. ``tick`` called directly,
+with the set left empty, steps every agent.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -82,7 +89,6 @@ from .agent import (
     move_agents,
     on_arrival,
     on_fusion,
-    replay_leg,
     select_target,
 )
 from .belief import Belief, GroundTruth, belief_error
@@ -198,20 +204,21 @@ class SimState:
     rng: np.random.Generator
     tick_index: int = 0
     fusion_events: int = 0
-    # Fusion pairs formed and agents that arrived at their target cell
-    # (in id order) during the most recent tick.
-    last_fusions: list[tuple[int, int]] = field(default_factory=list)
+    # Agents that arrived at their target cell (in id order) during the
+    # most recent tick.
     last_arrivals: list[AgentState] = field(default_factory=list)
     # Whether the most recent tick fused a pair whose beliefs differed, the
     # only kind of fusion that changes a belief. ``run`` skips the
     # convergence check when this is False and ``last_arrivals`` is empty.
     informative_fusion: bool = False
     # Set by ``run`` once no tick can change a mode or a belief, when it
-    # also leaves ``last_fusions`` and ``last_arrivals`` empty; ``tick``
-    # then only advances ``tick_index``.
+    # also leaves ``last_arrivals`` empty; ``tick`` then only advances
+    # ``tick_index``.
     idle: bool = False
-    # The modes whose legs are certified: the policy in the module docstring.
+    # The modes whose legs are certified, and the tick before which a
+    # certified leg must land: the policy in the module docstring.
     certified: frozenset[Mode] = frozenset()
+    next_row: float = math.inf
 
 
 @dataclass
@@ -328,15 +335,13 @@ def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
         matched.add(i)
         matched.add(j)
         state.fusion_events += 1
-        state.last_fusions.append((i, j))
 
 
 def tick(state: SimState) -> SimState:
     """Advance the simulation by one time step (see module docstring).
 
     An idle state (``SimState.idle``) only advances ``tick_index``: its
-    ``last_arrivals`` and ``last_fusions`` were emptied when it went idle
-    and stay empty.
+    ``last_arrivals`` was emptied when it went idle and stays empty.
     """
     if state.idle:
         state.tick_index += 1
@@ -344,9 +349,8 @@ def tick(state: SimState) -> SimState:
     cfg = state.config
     agents = state.agents
     rng = state.rng
-    state.last_fusions = []
     state.informative_fusion = False
-    state.last_arrivals = move_agents(agents, state.grid, rng, state.tick_index, state.certified)
+    state.last_arrivals = move_agents(agents, state.grid, rng, state.tick_index, state.certified, state.next_row)
     for agent in state.last_arrivals:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
 
@@ -371,20 +375,6 @@ def _sample(state: SimState) -> TrajectoryPoint:
     )
 
 
-def _observe_row(state: SimState, on_row: Callable[[SimState], None]) -> None:
-    """Call ``on_row(state)`` with every agent that waits on a certified leg
-    (``landing >= tick_index``: it has not snapped yet) where stepping would
-    have it, then put each one back where it waited."""
-    now = state.tick_index
-    waiting = [(a, a.x, a.y) for a in state.agents if a.landing >= now]
-    for agent, _, _ in waiting:
-        replay_leg(agent, state.grid, now)
-    on_row(state)
-    for agent, x, y in waiting:
-        agent.x = x
-        agent.y = y
-
-
 def run(
     config: SimConfig,
     on_tick: Callable[[SimState, bool], None] | None = None,
@@ -404,19 +394,26 @@ def run(
     saturated but has not converged goes idle (see the module docstring):
     its remaining ticks only count up to ``max_ticks``, in a bare loop, and
     its remaining rows repeat one sample. The record is the same either
-    way; only the generator's use after that point differs. The
-    certification policy (module docstring) is decided here; ``on_row``
-    sees each waiting agent replayed, as it would with every agent stepped.
+    way; only the generator's use after that point differs. With ``on_row``
+    alone, that point instead adds saturated agents to the certified set.
+    The certification policy (module docstring) is decided here, and
+    ``SimState.next_row`` advanced after each row, so ``on_row`` sees every
+    agent where stepping would have it.
     """
     state = initialize(config)
-    modes = () if on_tick is not None else (EXPLORING,) if config.C_f > 0 else (EXPLORING, SATURATED)
+    # Under on_row saturated legs wait only once the run is frozen (below).
+    modes = (
+        () if on_tick is not None
+        else (EXPLORING,) if config.C_f > 0 or on_row is not None
+        else (EXPLORING, SATURATED)
+    )
     state.certified = frozenset(modes)
     trajectory = [_sample(state)]
     if on_row is not None:
         on_row(state)
+        state.next_row = min(config.sample_every, config.max_ticks)
     if on_tick is not None:
         on_tick(state, True)
-    observed = on_tick is not None or on_row is not None
     converged = False
     for t in range(1, config.max_ticks + 1):
         tick(state)
@@ -433,18 +430,22 @@ def run(
             saturated = arrivals_saturated and all(a.mode is SATURATED for a in state.agents)
             converged = saturated and consensus_reached([a.belief for a in state.agents])
             # Asocial and all saturated: no agent arrives or broadcasts
-            # again, so nothing changes before max_ticks. The fusion list is
-            # empty (C_f == 0); emptying the arrival list here leaves the idle
-            # ticks nothing to reset.
-            if saturated and not converged and config.C_f == 0 and not observed:
-                state.idle = True
-                state.last_arrivals = []
-                break
+            # again, so nothing changes before max_ticks. Emptying the
+            # arrival list here leaves the idle ticks nothing to reset.
+            # on_row reads the wandering agents on each row, but the run can
+            # no longer converge on a tick that is not one.
+            if saturated and not converged and config.C_f == 0 and on_tick is None:
+                if on_row is None:
+                    state.idle = True
+                    state.last_arrivals = []
+                    break
+                state.certified = frozenset((EXPLORING, SATURATED))
         sampled = t % config.sample_every == 0 or converged or t == config.max_ticks
         if sampled:
             trajectory.append(_sample(state))
             if on_row is not None:
-                _observe_row(state, on_row)
+                on_row(state)
+                state.next_row = min(t + config.sample_every, config.max_ticks)
         if on_tick is not None:
             on_tick(state, sampled)
         if converged:

@@ -18,6 +18,7 @@ from hexswarm.belief import (
     uncertain_indices,
     update_with_evidence,
 )
+from hexswarm import engine
 from hexswarm.engine import SimConfig, average_error, initialize, tick
 from hexswarm.environment import NoiseModel, observe, sample_ground_truth
 from hexswarm.experiment import SweepSpec, aggregate, group_by_cell, run_sweep
@@ -164,15 +165,24 @@ class TestCriterion7Properties:
             ok &= all(i in broadcasting and j in broadcasting for i, j in elig)
         report(capsys, 7, "eligible-edge containment and monotonicity", ok, "300 random layouts")
 
-    def test_matching_validity_per_tick(self, capsys):
+    def test_matching_validity_per_tick(self, capsys, monkeypatch):
         config = SimConfig(m=20, hex_disc_radius=2, C_r=60.0, C_f=1.0,
                            epsilon=0.3, max_ticks=500, seed=31)
+        # The fusion phase calls engine.on_fusion once for each agent of a pair.
+        seen, on_fusion = [], engine.on_fusion
+
+        def noting(agent, *args):
+            seen.append(agent.id)
+            return on_fusion(agent, *args)
+
+        monkeypatch.setattr(engine, "on_fusion", noting)
         state = initialize(config)
         ok = True
         for _ in range(500):
+            seen.clear()
+            fused = state.fusion_events
             tick(state)
-            seen = [i for pair in state.last_fusions for i in pair]
-            ok &= len(seen) == len(set(seen))
+            ok &= len(seen) == len(set(seen)) == 2 * (state.fusion_events - fused)
         report(capsys, 7, "matching validity per tick", ok, "500 ticks, no agent fused twice")
 
     def test_initialization_error_exactly_half(self, capsys):

@@ -50,6 +50,32 @@ def test_medians_quartiles_and_wins():
     assert not narrow["wall_s"]["loss_rule_met"]
 
 
+def test_bound_test_reads_the_median_gap_against_the_bound():
+    """A metric given a bound reports whether the change's median is worse by
+    more than that fraction of the parent's, in either direction of better,
+    whatever the spread; one without a bound reports nothing."""
+    parent = runs([4.0, 4.3, 3.9, 4.1, 4.0])
+    bounds = {"wall_s": 0.25, "ticks_per_s": 0.25}
+    beyond = bench_pairs.summarize(parent, runs([5.2, 5.0, 5.1, 5.3, 5.1]), BETTER, bounds)  # +27.5%
+    assert beyond["wall_s"]["bound"] == 0.25 and beyond["wall_s"]["bound_exceeded"]
+    assert beyond["ticks_per_s"]["bound_exceeded"] is False  # ticks_per_s fell 21.6%
+    within = bench_pairs.summarize(parent, runs([4.9, 4.8, 4.9, 5.0, 4.9]), BETTER, bounds)  # +22.5%
+    assert not within["wall_s"]["bound_exceeded"]
+    assert within["wall_s"]["loss_rule_met"]  # 5/5 worse, far past the spread
+    faster = bench_pairs.summarize(parent, runs([2.0, 2.1, 2.0, 1.9, 2.0]), BETTER, bounds)
+    assert not faster["wall_s"]["bound_exceeded"]
+    assert faster["ticks_per_s"]["bound_exceeded"] is False  # twice the rate is a gain
+    slower = bench_pairs.summarize(runs([2.0, 2.1, 2.0, 1.9, 2.0]), parent, BETTER, bounds)
+    assert slower["ticks_per_s"]["bound_exceeded"]  # half the rate
+    text = bench_pairs.format_summary(beyond).splitlines()
+    assert text[0].endswith("loss rule met, beyond its 25% bound")
+    assert text[1].endswith("loss rule met, within its 25% bound")
+    unbounded = bench_pairs.summarize(parent, runs([5.2, 5.0, 5.1, 5.3, 5.1]), BETTER, {"wall_s": 0.3})
+    assert "bound" not in unbounded["ticks_per_s"]
+    assert not unbounded["wall_s"]["bound_exceeded"]
+    assert bench_pairs.format_summary(unbounded).splitlines()[1].endswith("loss rule met")
+
+
 def test_ties_count_for_neither_side():
     summary = bench_pairs.summarize(runs([2.0, 2.0]), runs([2.0, 1.0]), BETTER)
     assert summary["wall_s"]["wins"] == 1

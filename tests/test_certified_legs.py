@@ -2,8 +2,8 @@
 stepping them with the reference model's ``move``, tick by tick: the same
 arrival tick, the same snap onto the center and the same draws, or no
 certification at all. Each leg is tried once, on its first move tick. And
-their replay (``agent.replay_leg``) against stepping: the same position,
-bit for bit, on every tick mid-leg."""
+the bound ``run`` sets under ``on_row``: a certified leg lands before the
+next row, so no row finds an agent mid-leg."""
 
 import copy
 import dataclasses
@@ -19,10 +19,8 @@ from hexswarm.agent import (
     _MAX_LEG_STEPS,
     AgentState,
     Mode,
-    advance_position,
     move_agents,
     on_fusion,
-    replay_leg,
 )
 from hexswarm.belief import UNKNOWN, Belief
 from hexswarm.engine import SimConfig
@@ -73,9 +71,10 @@ def certified(agents, grid, start=0):
         arrived = move_agents(moving, grid, rng, now=now, certified=ALL)
         for agent in moving:
             if agent.landing > now:
-                # Tried once, on the leg's first move tick.
-                assert agent.departure == start
-                landings[agent.id] = agent.landing
+                if now == start:
+                    landings[agent.id] = agent.landing
+                # Tried once, on the leg's first move tick: no later tick starts a wait.
+                assert landings.get(agent.id) == agent.landing
         return arrived
 
     found = arrivals(agents, move)
@@ -346,13 +345,13 @@ def test_unobserved_social_runs_certify_explorers_only(config, monkeypatch):
         engine_on_fusion(agent, belief, rng)
         fused.append((agent, copy.deepcopy(agent)))
 
-    def checked_move(agents, grid, rng, now, certified):
+    def checked_move(agents, grid, rng, now, certified, next_row):
         nonlocal restarted
-        arrived = move_agents(agents, grid, rng, now, certified)
+        arrived = move_agents(agents, grid, rng, now, certified, next_row)
         for agent, found in fused:
             if found.mode is Mode.EXPLORING:
                 # An explorer draws nothing: no generator is needed.
-                move_agents([found], grid, None, now, frozenset({Mode.EXPLORING}))
+                move_agents([found], grid, None, now, frozenset({Mode.EXPLORING}), next_row)
                 assert (agent.x, agent.y, agent.landing) == (found.x, found.y, found.landing)
                 restarted += found.landing > now
         fused.clear()
@@ -382,8 +381,8 @@ def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
     tick's arrival that left the agent exploring or its fusion in a social
     run, and an asocial waypoint, both a first one (drawn this tick) and one
     drawn on the previous tick's snap. A waiting leg was fresh (``landing``
-    -1) when that tick began, and departs on it. No broadcasting agent, and
-    no saturated agent of a social run, ever waits."""
+    -1) when that tick began. No broadcasting agent, and no saturated agent
+    of a social run, ever waits."""
     social = config.C_f > 0
     arrived, fused, sites = set(), set(), set()
 
@@ -406,7 +405,7 @@ def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
             waits = agent.landing > now
             assert not (waits and (agent.mode is Mode.BROADCASTING or social and agent.mode is Mode.SATURATED))
             if waits and agent.landing != landing:
-                assert (landing, agent.departure) == (-1, now)
+                assert landing == -1
                 if now == 0:
                     sites.add("first targets")
                 elif dest is None:
@@ -431,79 +430,14 @@ def test_run_certifies_at_every_leg_start(config, observed, monkeypatch):
     assert sites == expected
 
 
-def replays_as_stepped(agent, grid, start, ticks=None):
-    """Move ``agent`` on tick ``start``, its leg's first move tick, with
-    every mode certified, and if it then waits, check that ``replay_leg``
-    puts it, on each of the ``ticks`` from ``start`` (zero steps) to its
-    landing tick (all its steps before the snap), where stepping a copy that
-    many times does. Returns whether it was certified."""
-    stepping = copy.deepcopy(agent)
-    move_agents([agent], grid, np.random.default_rng(0), now=start, certified=ALL)
-    if agent.landing <= start:
-        return False
-    assert agent.origin == (stepping.x, stepping.y) and agent.departure == start
-    center = (agent.x, agent.y)
-    rng = np.random.default_rng(0)
-    wanted = range(start, agent.landing + 1) if ticks is None else sorted(start + j for j in ticks)
-    now = start
-    for t in wanted:
-        for _ in range(t - now):
-            advance_position(stepping, grid, rng)
-        now = t
-        replay_leg(agent, grid, t)
-        assert (agent.x, agent.y) == (stepping.x, stepping.y), t
-        assert (agent.x, agent.y) != center
-    # One more step snaps onto the center, on the landing tick.
-    advance_position(stepping, grid, rng)
-    assert (now == agent.landing) == ((stepping.x, stepping.y) == center)
-    return True
-
-
-@pytest.mark.parametrize("speed", SPEEDS)
-def test_replay_matches_stepping_on_every_tick_mid_leg(speed):
-    """Target legs and wander legs from the launch pad, every center and
-    points off the centers, to every center of a radius-3 grid."""
-    grid = build_grid(3)
-    starts = [(0.0, 0.0), *grid.centers, *[(x + 1.3, y - 0.7) for x, y in grid.centers[::3]]]
-    certain = Belief.from_string("1" * grid.n)
-    certified = {Mode.EXPLORING: 0, Mode.SATURATED: 0}
-    for x, y in starts:
-        for dest in range(1, grid.n + 1):
-            if (x, y) == grid.centers[dest - 1]:
-                continue
-            explorer = AgentState(0, x, y, Belief.unknown(grid.n), dest=dest, speed=speed)
-            wanderer = AgentState(1, x, y, certain, mode=Mode.SATURATED, dest=dest, speed=speed)
-            for agent in (explorer, wanderer):
-                certified[agent.mode] += replays_as_stepped(agent, grid, start=11)
-    assert min(certified.values()) > 100
-
-
-def test_replay_at_a_tiny_speed():
-    """At speed 1e-3 only wander legs certify, of up to 2**15 steps; the
-    replay is checked at zero steps, a few steps and up to the landing."""
-    grid = build_grid(2)
-    certain = Belief.from_string("1" * grid.n)
-    done = 0
-    for dest in range(1, grid.n + 1):
-        agent = AgentState(0, 0.0, 0.0, certain, mode=Mode.SATURATED, dest=dest, speed=1e-3)
-        probe = copy.deepcopy(agent)
-        move_agents([probe], grid, None, now=3, certified=ALL)
-        if probe.landing <= 3:
-            continue
-        k = probe.landing - 3
-        done += replays_as_stepped(agent, grid, start=3, ticks={0, 1, 2, 777, k // 2, k - 1, k})
-    assert done >= 6
-
-
 ROWS = SOCIAL + [dataclasses.replace(c, sample_every=7, max_ticks=700) for c in SOCIAL]
 
 
 @pytest.mark.parametrize("config", ROWS, ids=lambda c: f"C_f={c.C_f},speed={c.speed},every={c.sample_every}")
 def test_rows_show_stepped_positions(config, monkeypatch):
     """``run(config, on_row=f)`` shows on every row the positions the
-    reference model has on that row, although certified agents wait on
-    their centers; after each call every agent's position and landing are
-    back as the last tick left them. The record equals ``run(config)``'s,
+    reference model has on that row: no agent waits on a certified leg at a
+    row, while some wait between later rows too. The record equals ``run(config)``'s,
     and the generator ends in the model's state: an asocial run with an
     observer does not idle. On every row an agent is saturated exactly when
     its belief is certain, and any other heads for a target it is uncertain
@@ -516,21 +450,16 @@ def test_rows_show_stepped_positions(config, monkeypatch):
             expected.append([(a.x, a.y) for a in state.agents])
 
     reference_model.run(config, on_tick)
-
-    def snapshot(state):
-        return [(a.x, a.y, a.landing) for a in state.agents]
-
-    left, seen, replayed, states = [], [], [], []
+    seen, waited, states = [], [], []
 
     def checked_tick(state):
-        if left:
-            assert snapshot(state) == left[-1]
         tick(state)
-        left[:] = [snapshot(state)]
+        waited.extend(state.tick_index for a in state.agents if a.landing >= state.tick_index)
 
     def on_row(state):
         seen.append([(a.x, a.y) for a in state.agents])
-        replayed.append(bool(left) and [p[:2] for p in left[-1]] != seen[-1])
+        # The last move tick is tick_index - 1: nobody waits past it.
+        assert [a.id for a in state.agents if a.landing >= state.tick_index] == []
         for a in state.agents:
             assert (a.mode is Mode.SATURATED) == a.belief.is_certain()
             assert a.mode is Mode.SATURATED or a.belief.value_at(a.dest) is UNKNOWN
@@ -540,9 +469,96 @@ def test_rows_show_stepped_positions(config, monkeypatch):
     monkeypatch.setattr(engine, "tick", checked_tick)
     record = engine.run(config, on_row=on_row)
     assert seen == expected
-    assert snapshot(states[0]) == left[-1]
-    if config.sample_every == 7:
-        assert any(replayed)  # so frequent rows find some agent mid-leg
+    assert waited
+    if config.sample_every == 7:  # legs still wait between rows after the first
+        assert max(waited) > 7
     assert states[0].rng.bit_generator.state == model[0].rng.bit_generator.state
     monkeypatch.undo()
     assert record.to_json() == engine.run(config).to_json()
+
+
+@pytest.mark.parametrize("speed", SPEEDS)
+def test_a_leg_landing_on_the_next_row_is_stepped(speed):
+    """Legs from the launch pad that ``move_agents`` certifies on tick
+    ``now`` with no bound, landing on tick ``now + k``: with ``next_row =
+    now + k`` each is stepped and marked tried, as the reference model steps
+    it, and with ``next_row = now + k + 1`` it is certified as before."""
+    grid = build_grid(3)
+    now, certified = 20, 0
+    for dest in range(1, grid.n + 1):
+        agent = AgentState(0, 0.0, 0.0, Belief.unknown(grid.n), speed, dest=dest)
+        unbounded = copy.deepcopy(agent)
+        move_agents([unbounded], grid, None, now=now, certified=ALL)
+        if unbounded.landing <= now:  # stepped, or snapped at once
+            continue
+        certified += 1
+        k = unbounded.landing - now
+        on_row, before = copy.deepcopy(agent), copy.deepcopy(agent)
+        move_agents([on_row], grid, None, now=now, certified=ALL, next_row=now + k)
+        reference_model.move([agent], grid, None)
+        assert (on_row.x, on_row.y, on_row.landing) == (agent.x, agent.y, now)
+        move_agents([before], grid, None, now=now, certified=ALL, next_row=now + k + 1)
+        assert (before.x, before.y, before.landing) == (unbounded.x, unbounded.y, now + k)
+    assert certified > 10
+
+
+@pytest.mark.parametrize("config", SOCIAL, ids=lambda c: f"C_f={c.C_f},speed={c.speed}")
+def test_a_row_on_every_tick_certifies_nothing(config, monkeypatch):
+    """At ``sample_every=1`` every tick is a row, so the next row is always
+    the next tick and no leg lands before it: ``run`` with ``on_row`` steps
+    every agent, and its record is that of ``run`` without an observer."""
+    config = dataclasses.replace(config, sample_every=1, max_ticks=600)
+    waited = []
+
+    def checked_tick(state):
+        now = state.tick_index
+        tick(state)
+        waited.extend(a.id for a in state.agents if a.landing > now)
+
+    tick = engine.tick
+    monkeypatch.setattr(engine, "tick", checked_tick)
+    record = engine.run(config, on_row=lambda state: None)
+    monkeypatch.undo()
+    assert waited == []
+    assert record.to_json() == engine.run(config).to_json()
+
+
+@pytest.mark.parametrize(
+    "config,freezes",
+    [
+        # All saturate at tick 156 and disagree; the run never converges.
+        (SimConfig(m=6, hex_disc_radius=2, C_f=0.0, epsilon=0.1, seed=3, max_ticks=2000, sample_every=30), True),
+        (SimConfig(m=8, hex_disc_radius=3, C_f=0.0, epsilon=0.1, seed=2, max_ticks=900, sample_every=7), True),
+        # Converges off a row, on the tick its last agent saturates.
+        (SimConfig(m=4, hex_disc_radius=1, C_f=0.0, epsilon=0.0, seed=21, max_ticks=3000, sample_every=50), False),
+    ],
+)
+def test_asocial_rows_wait_on_saturated_legs_only_once_frozen(config, freezes, monkeypatch):
+    """Under ``on_row`` an asocial run certifies no saturated leg until its
+    agents are all saturated without consensus: from then on it can no
+    longer converge, so no row can come off the schedule, and ``run`` adds
+    saturated agents to the set before the next tick; their legs then wait
+    between rows. A run that converges never adds them."""
+    saturated_at, frozen_at, waits = [], [], {False: 0, True: 0}
+
+    def checked_tick(state):
+        now, frozen = state.tick_index, Mode.SATURATED in state.certified
+        if frozen and not frozen_at:
+            frozen_at.append(now)
+        tick(state)
+        waiting = [a.id for a in state.agents if a.mode is Mode.SATURATED and a.landing > now]
+        assert frozen or waiting == []
+        waits[frozen] += len(waiting)
+        if not saturated_at and all(a.mode is Mode.SATURATED for a in state.agents):
+            saturated_at.append(state.tick_index)
+
+    tick = engine.tick
+    monkeypatch.setattr(engine, "tick", checked_tick)
+    record = engine.run(config, on_row=lambda state: None)
+    monkeypatch.undo()
+    assert record.converged is not freezes
+    assert record.to_json() == engine.run(config).to_json()
+    if freezes:
+        assert frozen_at == saturated_at and waits[True] > 0
+    else:
+        assert frozen_at == [] and saturated_at == [record.terminal_tick]

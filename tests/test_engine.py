@@ -143,24 +143,44 @@ def force_broadcasters(state, ids, position=(0.0, 0.0)):
             agent.mode = Mode.EXPLORING
 
 
+def noting_pairs(monkeypatch):
+    """Wrap ``engine.on_fusion`` to note each fused pair (i, j), in the order
+    the fusion phase forms them, in the list returned: the phase calls it
+    for i and then for its partner j."""
+    pairs, halves, real = [], [], engine.on_fusion
+
+    def noting(agent, partner_belief, rng):
+        halves.append(agent.id)
+        if len(halves) == 2:
+            pairs.append(tuple(halves))
+            halves.clear()
+        return real(agent, partner_belief, rng)
+
+    monkeypatch.setattr(engine, "on_fusion", noting)
+    return pairs
+
+
 class TestTickPairing:
-    def test_two_broadcasters_fuse_once(self):
+    def test_two_broadcasters_fuse_once(self, monkeypatch):
+        pairs = noting_pairs(monkeypatch)
         state = initialize(SimConfig(**FAST))
         force_broadcasters(state, {0, 1})
         tick(state)
         assert state.fusion_events == 1
-        assert state.last_fusions == [(0, 1)]
+        assert pairs == [(0, 1)]
 
-    def test_three_broadcasters_exactly_one_pair(self):
+    def test_three_broadcasters_exactly_one_pair(self, monkeypatch):
         # Under greedy seeded matching the first visited agent pairs with one
         # of the other two; the third then has no unmatched partner left.
+        pairs = noting_pairs(monkeypatch)
         for seed in range(10):
             config = SimConfig(**{**FAST, "seed": seed})
             state = initialize(config)
             force_broadcasters(state, {0, 1, 2})
+            pairs.clear()
             tick(state)
             assert state.fusion_events == 1
-            (i, j) = state.last_fusions[0]
+            [(i, j)] = pairs
             remaining = {0, 1, 2} - {i, j}
             assert len(remaining) == 1
             leftover = state.agents[remaining.pop()]
@@ -171,14 +191,19 @@ class TestTickPairing:
         tick(state)
         assert state.fusion_events == 0
 
-    def test_matching_is_valid_each_tick(self):
+    def test_matching_is_valid_each_tick(self, monkeypatch):
         config = SimConfig(m=10, hex_disc_radius=2, C_r=40.0, C_f=1.0, epsilon=0.3,
                            max_ticks=300, seed=5)
+        pairs = noting_pairs(monkeypatch)
         state = initialize(config)
         for _ in range(300):
+            pairs.clear()
+            fused = state.fusion_events
             tick(state)
-            flattened = [i for pair in state.last_fusions for i in pair]
+            flattened = [i for pair in pairs for i in pair]
             assert len(flattened) == len(set(flattened))
+            assert len(pairs) == state.fusion_events - fused
+        assert state.fusion_events
 
     def test_interaction_layer_gates_fusion(self):
         # Broadcasting agents 0 and 5 are not lattice-adjacent in a k=2 ring
@@ -237,9 +262,12 @@ class TestFusionPhaseMatchesEdgeSetReference:
         expected.rng = np.random.default_rng()
         expected.rng.bit_generator.state = state.rng.bit_generator.state
 
-        engine._run_fusion_phase(state, broadcasters)
+        expected.last_fusions = []
+        with pytest.MonkeyPatch.context() as patch:
+            pairs = noting_pairs(patch)
+            engine._run_fusion_phase(state, broadcasters)
         reference_model.fusion_phase(expected, broadcasters)
-        assert state.last_fusions == expected.last_fusions
+        assert pairs == expected.last_fusions
         assert state.fusion_events == expected.fusion_events
         assert state.rng.bit_generator.state == expected.rng.bit_generator.state
         assert [a.log_line(0) for a in state.agents] == [a.log_line(0) for a in expected.agents]
@@ -307,13 +335,14 @@ class TestConvergenceSkip:
         # run() checks convergence only after a tick with an arrival or a
         # fusion; that is exact only while nothing else changes a mode or a
         # belief.
-        previous = []
+        previous, fused = [], [0]
 
         def on_tick(state, sampled):
             current = [(a.mode, a.belief) for a in state.agents]
-            if state.tick_index and not state.last_arrivals and not state.last_fusions:
+            if state.tick_index and not state.last_arrivals and state.fusion_events == fused[0]:
                 assert current == previous, f"tick {state.tick_index}"
             previous[:] = current
+            fused[0] = state.fusion_events
 
         run(config, on_tick)
 
@@ -425,13 +454,14 @@ class TestIdleMatchesFullPath:
         def recording_tick(state):
             was_idle = state.idle
             real_tick(state)
-            seen.append((was_idle, state.last_arrivals, state.last_fusions))
+            seen.append((was_idle, state.last_arrivals))
 
         monkeypatch.setattr(engine, "tick", recording_tick)
-        assert run(config).terminal_tick == 2000
-        idle_ticks = [(arrivals, fusions) for was_idle, arrivals, fusions in seen if was_idle]
+        record = run(config)
+        assert record.terminal_tick == 2000 and record.trajectory[-1].fusion_events == 0
+        idle_ticks = [arrivals for was_idle, arrivals in seen if was_idle]
         assert len(idle_ticks) == 2000 - 156
-        assert all(arrivals == [] and fusions == [] for arrivals, fusions in idle_ticks)
+        assert all(arrivals == [] for arrivals in idle_ticks)
 
 
 class TestConsensus:

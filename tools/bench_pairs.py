@@ -21,9 +21,9 @@ that ran: the parent's full commit id, or for the change this checkout's
 HEAD, with ``git_diff_sha256``, a sha256 of ``git diff HEAD --binary``
 followed by each untracked file's path and contents, leaving out the
 output file. (``bench.py`` itself reads "unknown" in both extracts.) The
-median, quartiles, wins and gain and loss rules (see ``summarize``) of
-every end-to-end metric are printed, and for wall_s and setup_s also each
-side's unscaled median. The script
+median, quartiles, wins, gain and loss rules and bound test (see
+``summarize``) of every end-to-end metric are printed, and for wall_s and
+setup_s also each side's unscaled median. The script
 refuses to merge into a file that holds runs against another parent or
 from another host.
 
@@ -78,7 +78,9 @@ def unscaled_median(runs: list[dict], name: str) -> float | None:
     return None if None in values else statistics.median(values)
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def summarize(
+    parent: list[dict], change: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict[str, dict]:
     """Per end-to-end metric: each side's median and quartiles, the relative
     change of the medians, the pairs the change won (ties count for
     neither) and whether the gain rule holds: the change wins at least nine
@@ -93,6 +95,11 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     ``parent`` and ``change`` are the runs' final JSON lines in pair order;
     ``better`` maps each metric name to "lower" or "higher". A metric that
     every run also reports unscaled gets each side's ``unscaled_median``.
+    A metric named in ``bounds``, with its ``bound`` from BENCHMARK.json,
+    also gets ``bound_exceeded``: whether the change's median is worse than
+    the parent's by more than that fraction of it. Unlike the loss rule,
+    this test ignores the spread of the runs, so noise that is consistent
+    but far inside the bound does not meet it.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need equal, nonzero numbers of runs, got {len(parent)} and {len(change)}")
@@ -117,6 +124,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "gain_rule_met": 10 * wins >= 9 * len(p) and gain > p_q3 - p_q1 and fails_no_more,
             "loss_rule_met": 10 * losses >= 9 * len(p) and -gain > pooled_q3 - pooled_q1,
         }
+        if bounds and name in bounds:
+            summary[name]["bound"] = bounds[name]
+            summary[name]["bound_exceeded"] = -gain > bounds[name] * abs(p_med)
         raw = unscaled_median(parent, name), unscaled_median(change, name)
         if None not in raw:
             summary[name]["parent"]["unscaled_median"], summary[name]["change"]["unscaled_median"] = raw
@@ -133,6 +143,8 @@ def format_summary(summary: dict[str, dict]) -> str:
             f"change better in {s['wins']}/{s['pairs']}, parent IQR {p['q3'] - p['q1']:.3g}, "
             f"gain rule {'met' if s['gain_rule_met'] else 'not met'}, "
             f"loss rule {'met' if s['loss_rule_met'] else 'not met'}"
+            + (f", {'beyond' if s['bound_exceeded'] else 'within'} its {100 * s['bound']:g}% bound"
+               if "bound" in s else "")
             + (f"; unscaled median parent {p['unscaled_median']:.4g} -> change {c['unscaled_median']:.4g}"
                if "unscaled_median" in p else "")
         )
@@ -229,7 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"{args.out} holds runs against parent {record['parent']}, not {parent_rev}")
     if record.get("host", host()) != host():
         raise SystemExit(f"{args.out} holds runs from host {record['host']!r}, not {host()!r}")
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
 
     # Exit through the with block on SIGTERM too, so the extracts are
     # removed and subprocess.run kills the benchmark it is waiting on.
@@ -255,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     })
     record.setdefault("workloads", {})[f"{args.workload} --seed {args.seed}"] = {"pairs": args.pairs, **runs}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(format_summary(summarize(runs["parent"], runs["change"], better)))
+    print(format_summary(summarize(runs["parent"], runs["change"], better, bounds)))
     return 0
 
 
