@@ -1,7 +1,7 @@
-"""The summary of tools/bench_pairs.py, which reports paired benchmark runs."""
+"""The pair loop, merge and summary of tools/bench_pairs.py, which reports
+paired benchmark runs."""
 
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -9,18 +9,18 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+import grid_sample  # noqa: E402
 
 BETTER = {"wall_s": "lower", "ticks_per_s": "higher"}
 
 
-def runs(walls, failed=0):
+def runs(walls, failed=0, unscaled=None):
     return [
-        {"attempted": 18, "failed": failed, "metrics": {"wall_s": {"value": w}, "ticks_per_s": {"value": 100 / w}}}
-        for w in walls
+        {"attempted": 18, "failed": failed, "metrics": {"wall_s": {"value": w}, "ticks_per_s": {"value": 100 / w}},
+         **({"unscaled": {"wall_s": u}} if unscaled else {})}
+        for w, u in zip(walls, unscaled or walls)
     ]
 
 
@@ -89,6 +89,28 @@ def test_gain_rule_needs_a_gap_wider_than_the_parent_iqr():
     assert clear["wall_s"]["wins"] == narrow["wall_s"]["wins"] == 10
     assert clear["wall_s"]["gain_rule_met"]
     assert not narrow["wall_s"]["gain_rule_met"]
+
+
+def test_gain_rule_needs_ten_pairs():
+    """Five pairs can flag a loss but not claim a gain; ten clear wins can."""
+    walls = [3.0 + 0.1 * k for k in range(10)]
+    for n, met in ((9, False), (10, True)):
+        assert bench_pairs.summarize(runs(walls[:n]), runs([w - 0.6 for w in walls[:n]]), BETTER)["wall_s"][
+            "gain_rule_met"] is met
+    assert bench_pairs.summarize(runs(walls[:5]), runs([w + 0.6 for w in walls[:5]]), BETTER)["wall_s"]["loss_rule_met"]
+
+
+def test_gain_rule_needs_the_unscaled_median_to_move_the_same_way():
+    walls = [3.0 + 0.1 * k for k in range(10)]
+    faster = [w - 0.6 for w in walls]
+    raw = [2 * w for w in walls]
+    agreeing = bench_pairs.summarize(runs(walls, unscaled=raw), runs(faster, unscaled=[r - 0.1 for r in raw]), BETTER)
+    assert agreeing["wall_s"]["gain_rule_met"]
+    against = bench_pairs.summarize(runs(walls, unscaled=raw), runs(faster, unscaled=[r + 0.1 for r in raw]), BETTER)
+    assert against["wall_s"]["wins"] == 10
+    assert against["wall_s"]["change"]["unscaled_median"] > against["wall_s"]["parent"]["unscaled_median"]
+    assert not against["wall_s"]["gain_rule_met"]
+    assert against["ticks_per_s"]["gain_rule_met"]  # no unscaled figure to disagree
 
 
 def test_gain_rule_fails_when_more_operations_fail():
@@ -186,8 +208,9 @@ def test_tree_ids_name_the_parent_commit_and_the_uncommitted_change(monkeypatch,
 
 
 def test_neither_side_runs_in_the_checkout(monkeypatch, tmp_path):
-    """The parent runs in its extract and the change in a copy of the
-    working tree beside it; both are removed afterwards."""
+    """Both tools' passes run through ``alternate``: the parent in its
+    extract and the change in a copy of the working tree beside it, the
+    parent first in odd pairs; both trees are removed afterwards."""
     filled, ran = {}, []
 
     def fake_extract(ref, into):
@@ -206,23 +229,35 @@ def test_neither_side_runs_in_the_checkout(monkeypatch, tmp_path):
         return {"correct": True, "attempted": 1, "failed": 0,
                 "metrics": {name: {"value": 1.0} for name in ("wall_s", "ticks_per_s", "setup_s", "peak_rss_mb")}}
 
+    def fake_sample(tree):
+        side = "parent" if tree == filled["parent"] else "change"
+        ran.append((side, tree))
+        assert tree == filled[side] and tree.is_dir()
+        return [["fig3", "complete", 0.1, 0, 0, 2.0, 1.0, "ab"]]
+
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc1234")
     monkeypatch.setattr(bench_pairs, "tree_ids", lambda ref, out: {"parent": {"side": "parent"},
                                                                     "change": {"side": "change"}})
     monkeypatch.setattr(bench_pairs, "extract", fake_extract)
     monkeypatch.setattr(bench_pairs, "copy_worktree", fake_copy)
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr(grid_sample, "sample", fake_sample)
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
     out = tmp_path / "BENCH_1.json"
     assert bench_pairs.main(["--parent", "abc1234", "--workload", "asocial", "--pairs", "2", "--out", str(out)]) == 0
-    assert [side for side, _ in ran] == ["parent", "change", "change", "parent"]
-    trees = {side: tree for side, tree in ran}
-    assert len(trees) == 2 and trees["parent"] != trees["change"]
-    assert trees["parent"].parent == trees["change"].parent
-    for tree in trees.values():
-        assert not tree.resolve().is_relative_to(bench_pairs.ROOT)
-        assert not tree.exists()
-    assert json.loads(out.read_text())["workloads"]["asocial --seed 0"]["pairs"] == 2
+    assert grid_sample.main(["--parent", "abc1234", "--out", str(out)]) == 0
+    assert [side for side, _ in ran] == ["parent", "change", "change", "parent"] + [
+        "parent", "change", "change", "parent"] * (grid_sample.PASSES // 2)
+    bench_trees, grid_trees = dict(ran[:4]), dict(ran[4:])
+    for trees in (bench_trees, grid_trees):
+        assert trees["parent"] != trees["change"] and trees["parent"].parent == trees["change"].parent
+        for tree in trees.values():
+            assert not tree.resolve().is_relative_to(bench_pairs.ROOT)
+            assert not tree.exists()
+    assert bench_trees["parent"] != grid_trees["parent"]
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["asocial --seed 0"]["pairs"] == 2
+    assert workloads["grid_sample"]["pairs"] == grid_sample.PASSES
 
 
 def test_copy_worktree_takes_tracked_and_untracked_files_but_not_ignored_ones(monkeypatch, tmp_path):

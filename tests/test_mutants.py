@@ -5,16 +5,15 @@ checks that each listed edit still finds its text, so the list cannot rot
 as the source changes.
 """
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-mutants = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(mutants)
+sys.path.insert(0, str(ROOT / "tools"))
+import mutants  # noqa: E402
 
 LISTED = json.loads((ROOT / "MUTANTS.json").read_text())["mutants"]
 

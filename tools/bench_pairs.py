@@ -9,23 +9,23 @@ The parent's committed files are extracted (``git archive``) into a
 temporary directory, and the change's into a sibling one: the working-tree
 copy of every file ``git ls-files -co --exclude-standard`` lists, leaving
 out the output file. Neither side runs in the checkout itself, so both
-load the program from equally fresh files. ``perfbench/bench.py
---workload W --seed S --seconds 14 --trace 0`` then runs N times in each
-tree, alternating: the parent runs first in odd pairs and the change
-first in even ones. Each run's final JSON line is merged into the output
-file under ``"W --seed S"``, next to the entries of other workloads
-already there, together with the ``unscaled`` block of the line before it
-(the raw, uncalibrated wall and setup times) and its ``provenance`` block
-(versions and config hash). In that block ``git_commit`` names the tree
-that ran: the parent's full commit id, or for the change this checkout's
-HEAD, with ``git_diff_sha256``, a sha256 of ``git diff HEAD --binary``
-followed by each untracked file's path and contents, leaving out the
-output file. (``bench.py`` itself reads "unknown" in both extracts.) The
-median, quartiles, wins, gain and loss rules and bound test (see
-``summarize``) of every end-to-end metric are printed, and for wall_s and
-setup_s also each side's unscaled median. The script
-refuses to merge into a file that holds runs against another parent or
-from another host.
+load the program from equally fresh files. ``alternate`` then runs a
+measure N times in each tree, the parent first in odd pairs and the change
+first in even ones. Here the measure is ``perfbench/bench.py --workload W
+--seed S --seconds 14 --trace 0``; ``tools/grid_sample.py`` has another.
+Each run's final JSON line is merged into the output file under
+``workloads["W --seed S"]``, next to the entries already there, with the
+``unscaled`` block of the line before it (the raw, uncalibrated wall and
+setup times) and its ``provenance`` block (versions and config hash). In
+that block ``git_commit`` names the tree that ran: the parent's full
+commit id, or for the change this checkout's HEAD, with
+``git_diff_sha256``, a sha256 of ``git diff HEAD --binary`` followed by
+each untracked file's path and contents, leaving out the output file.
+(``bench.py`` itself reads "unknown" in both extracts.) Both tools refuse
+to merge into a file that holds runs against another parent or from
+another host. The median, quartiles, wins, gain and loss rules and bound
+test (see ``summarize``) of every end-to-end metric are printed, and for
+wall_s and setup_s also each side's unscaled median.
 
 Only the standard library is used, so the script runs under any Python
 that can run the benchmark.
@@ -47,13 +47,16 @@ import tarfile
 import tempfile
 from importlib import metadata
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 14
+# The fewest pairs a gain can be claimed from; a loss is flagged from any number.
+CLAIM_PAIRS = 10
 PROTOCOL = (
     "alternating parent/change pairs, parent first in odd pairs; "
-    "each list holds the final JSON line of every run, in pair order, "
-    "with the unscaled and provenance blocks of the line before it"
+    "each list holds one run per pair, in pair order, shaped like perfbench's "
+    "final JSON line with unscaled and provenance blocks"
 )
 
 
@@ -83,10 +86,12 @@ def summarize(
 ) -> dict[str, dict]:
     """Per end-to-end metric: each side's median and quartiles, the relative
     change of the medians, the pairs the change won (ties count for
-    neither) and whether the gain rule holds: the change wins at least nine
-    tenths of the pairs, its median beats the parent's by more than the
-    parent's interquartile range, and no larger share of its operations
-    failed than of the parent's. The loss rule is its mirror: the change is
+    neither) and whether the gain rule holds: there are at least
+    ``CLAIM_PAIRS`` pairs, the change wins at least nine tenths of them, its
+    median beats the parent's by more than the parent's interquartile range,
+    its unscaled median (where both sides report one) beats the parent's
+    too, and no larger share of its operations failed than of the
+    parent's. The loss rule is its mirror: the change is
     worse in at least nine tenths of the pairs, and its median is worse by
     more than the interquartile range of both sides' runs pooled, each run
     taken as its distance from its own side's median. (Pooling the raw
@@ -114,6 +119,7 @@ def summarize(
         wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
         losses = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         gain = sign * (p_med - c_med)
+        raw = unscaled_median(parent, name), unscaled_median(change, name)
         pooled_q1, _, pooled_q3 = quartiles([v - p_med for v in p] + [v - c_med for v in c])
         summary[name] = {
             "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
@@ -121,13 +127,13 @@ def summarize(
             "change_frac": (c_med - p_med) / p_med if p_med else 0.0,
             "wins": wins,
             "pairs": len(p),
-            "gain_rule_met": 10 * wins >= 9 * len(p) and gain > p_q3 - p_q1 and fails_no_more,
+            "gain_rule_met": len(p) >= CLAIM_PAIRS and 10 * wins >= 9 * len(p) and gain > p_q3 - p_q1
+            and fails_no_more and (None in raw or sign * (raw[0] - raw[1]) > 0),
             "loss_rule_met": 10 * losses >= 9 * len(p) and -gain > pooled_q3 - pooled_q1,
         }
         if bounds and name in bounds:
             summary[name]["bound"] = bounds[name]
             summary[name]["bound_exceeded"] = -gain > bounds[name] * abs(p_med)
-        raw = unscaled_median(parent, name), unscaled_median(change, name)
         if None not in raw:
             summary[name]["parent"]["unscaled_median"], summary[name]["change"]["unscaled_median"] = raw
     return summary
@@ -164,15 +170,15 @@ def extract(ref: str, into: Path) -> None:
             tar.extractall(into, filter="data")
 
 
-def pathspec(out: Path) -> list[str]:
+def pathspec(out: Path | None) -> list[str]:
     """The git pathspec of the whole checkout, without ``out`` if inside it."""
     spec = ["--", "."]
-    if out.resolve().is_relative_to(ROOT):
+    if out is not None and out.resolve().is_relative_to(ROOT):
         spec.append(f":(exclude){out.resolve().relative_to(ROOT).as_posix()}")
     return spec
 
 
-def copy_worktree(into: Path, out: Path) -> None:
+def copy_worktree(into: Path, out: Path | None = None) -> None:
     """Copy into ``into`` the working-tree files of this checkout, tracked
     and untracked but not ignored, leaving out ``out`` and tracked files
     deleted from the working tree."""
@@ -224,6 +230,46 @@ def host() -> str:
             f"numpy {metadata.version('numpy')}")
 
 
+def alternate(parent_rev: str, out: Path, pairs: int, measure: Callable[[Path, dict], dict]) -> dict[str, list[dict]]:
+    """Each side's runs of ``measure(tree, tree_id)`` in its own tree, in pair
+    order (see the module docstring); ``tree_id`` is that side's entry of
+    ``tree_ids``. Each run is shaped like perfbench's final JSON line."""
+    # Exit through the with block on SIGTERM too, so the trees are removed
+    # and subprocess.run kills the process it is waiting on.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    ids = tree_ids(parent_rev, out)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {side: Path(tmp, side) for side in runs}
+        extract(parent_rev, trees["parent"])
+        copy_worktree(trees["change"], out)
+        for pair in range(1, pairs + 1):
+            for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+                runs[side].append(measure(trees[side], ids[side]))
+            name = next(iter(runs["parent"][-1]["metrics"]))
+            print(f"pair {pair}/{pairs}: {name}", *(f"{side} {runs[side][-1]['metrics'][name]['value']:.3f}"
+                                                    for side in runs), file=sys.stderr)
+    return runs
+
+
+def open_record(out: Path, parent_rev: str) -> dict:
+    """The record in ``out``, or a new one, stamped with ``parent_rev``, this
+    host and the protocol. Refuses one that holds runs against another
+    parent or from another host, so every entry compares the same trees."""
+    record = json.loads(out.read_text()) if out.is_file() else {}
+    for field, value in (("parent", parent_rev), ("host", host())):
+        if record.get(field, value) != value:
+            raise SystemExit(f"{out} holds runs with {field} {record[field]!r}, not {value!r}")
+    return {**record, "host": host(), "parent": parent_rev, "protocol": PROTOCOL}
+
+
+def merge(out: Path, record: dict, key: str, command: str, runs: dict[str, list[dict]]) -> None:
+    """Write ``record`` (from ``open_record``) into ``out`` with ``runs``
+    (from ``alternate``) under ``workloads[key]``."""
+    record.setdefault("workloads", {})[key] = {"command": command, "pairs": len(runs["parent"]), **runs}
+    out.write_text(json.dumps(record, indent=2) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git ref of the commit to compare against")
@@ -236,39 +282,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
 
     parent_rev = git("rev-parse", "--short", f"{args.parent}^{{commit}}")
-    record = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    if record.get("parent", parent_rev) != parent_rev:
-        raise SystemExit(f"{args.out} holds runs against parent {record['parent']}, not {parent_rev}")
-    if record.get("host", host()) != host():
-        raise SystemExit(f"{args.out} holds runs from host {record['host']!r}, not {host()!r}")
+    record = open_record(args.out, parent_rev)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
-
-    # Exit through the with block on SIGTERM too, so the extracts are
-    # removed and subprocess.run kills the benchmark it is waiting on.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    ids = tree_ids(parent_rev, args.out)
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {side: Path(tmp, side) for side in runs}
-        extract(parent_rev, trees["parent"])
-        copy_worktree(trees["change"], args.out)
-        for pair in range(1, args.pairs + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(bench(trees[side], args.workload, args.seed, ids[side]))
-            print(f"pair {pair}/{args.pairs}: wall_s parent {runs['parent'][-1]['metrics']['wall_s']['value']:.3f}"
-                  f" change {runs['change'][-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
-
-    record.update({
-        "command": f"python3 perfbench/bench.py --workload W --seed S --seconds {SECONDS} --trace 0",
-        "host": host(),
-        "parent": parent_rev,
-        "protocol": PROTOCOL,
-    })
-    record.setdefault("workloads", {})[f"{args.workload} --seed {args.seed}"] = {"pairs": args.pairs, **runs}
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    runs = alternate(parent_rev, args.out, args.pairs,
+                     lambda tree, tree_id: bench(tree, args.workload, args.seed, tree_id))
+    command = f"python3 perfbench/bench.py --workload {args.workload} --seed {args.seed} --seconds {SECONDS} --trace 0"
+    merge(args.out, record, f"{args.workload} --seed {args.seed}", command, runs)
     print(format_summary(summarize(runs["parent"], runs["change"], better, bounds)))
     return 0
 

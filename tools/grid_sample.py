@@ -8,25 +8,27 @@ Run from anywhere inside the repository:
 The first ``TRIALS`` trials of every cell of ``configs/fig3.json`` and
 ``configs/fig4_5.json`` (the configs and seeds ``experiment.expand`` gives
 them) are run one at a time with ``engine.run`` and timed with
-``time.perf_counter``. The parent's committed files and this checkout's
-working-tree files are each put in a fresh temporary directory, as
-``tools/bench_pairs.py`` does, and each tree runs the whole sample in its
-own fresh process, one process at a time, ``PASSES`` times: the parent
-first in odd passes and the change first in even ones. Two engine runs
-at once would each take about twice as long on a 2-core host, so nothing
-runs beside a pass.
+``time.perf_counter``. Each trial is scaled as ``perfbench/bench.py``
+scales a run, by ``CALIBRATION_REF_S`` over the mean of the ``calibrate()``
+taken just before and just after it (both from the tree's own
+``perfbench/bench.py``); consecutive trials share a calibration. One pass
+runs the whole sample in a fresh process in one tree, and
+``bench_pairs.alternate`` runs ``PASSES`` pairs of passes, the parent and
+the change each in its own fresh copy, one process at a time. Two engine
+runs at once would each take about twice as long on a 2-core host, so
+nothing runs beside a pass.
 
-Every trial's record is digested (sha256 of ``RunRecord.to_json``), and
-the digests must agree between the trees and across passes: the script
-exits 1 if they do not. The times are summed per group, a group being the
-trials of one (grid, topology, C_f); each side's median over the passes is
-reported with the change's relative difference and the number of passes it
-was faster in. Groups the change made slower are listed under ``worse``.
-The result is merged into ``--out`` under ``"grid_sample"``, next to the
-``tools/bench_pairs.py`` entries already there.
+A pass is a run shaped like a perfbench final line: ``attempted`` is its
+trials, ``failed`` those whose record digest (sha256 of
+``RunRecord.to_json``) differs from that trial's in the parent's first
+pass, ``metrics`` the scaled seconds per group, a group being the trials
+of one (grid, topology, C_f), and ``unscaled`` the raw seconds. The passes
+are merged into ``--out`` under ``workloads``, with ``bench_pairs``'
+parent and host checks, and every group is judged by
+``bench_pairs.summarize``. The exit code is 1 if any trial failed.
 
-Only the standard library is used here; the timed runs import the
-``hexswarm`` of the tree they time.
+Only the standard library is used here; each pass imports the
+``hexswarm`` and ``perfbench`` of the tree it times.
 """
 
 from __future__ import annotations
@@ -34,33 +36,33 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
-import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import copy_worktree, extract, git, host, tree_ids
+import bench_pairs
 
 GRIDS = ("fig3", "fig4_5")
 TRIALS = 3
-PASSES = 5
+PASSES = 10
 
 # Run by ``sys.executable -c`` in a tree, with that tree's ``src`` first on
 # the path. It prints one JSON list of [grid, topology, C_f, cell index,
-# trial, seconds, record sha256] rows, in expand() order.
+# trial, seconds, scaled seconds, record sha256] rows, in expand() order.
 WORKER = """
 import hashlib, json, sys, time
 from pathlib import Path
-import hexswarm
+sys.path.insert(0, "perfbench")
+import bench, hexswarm
+from bench import CALIBRATION_REF_S, calibrate
 from hexswarm.engine import run
 from hexswarm.experiment import SweepSpec, expand
 
 trials, grids = int(sys.argv[1]), sys.argv[2:]
-if not Path(hexswarm.__file__).resolve().is_relative_to(Path.cwd().resolve()):
-    sys.exit(f"imported {hexswarm.__file__}, not the hexswarm of {Path.cwd()}")
-rows = []
+for module in (bench, hexswarm):
+    if not Path(module.__file__).resolve().is_relative_to(Path.cwd().resolve()):
+        sys.exit(f"imported {module.__file__}, not the {module.__name__} of {Path.cwd()}")
+rows, before = [], calibrate()
 for grid in grids:
     spec = SweepSpec(**json.loads(Path("configs", grid + ".json").read_text()))
     for position, (config, trial) in enumerate(expand(spec)):
@@ -69,8 +71,11 @@ for grid in grids:
         start = time.perf_counter()
         record = run(config)
         seconds = time.perf_counter() - start
+        after = calibrate()
         digest = hashlib.sha256(record.to_json().encode()).hexdigest()
-        rows.append([grid, config.topology, config.C_f, position // spec.repeats, trial, seconds, digest])
+        rows.append([grid, config.topology, config.C_f, position // spec.repeats, trial, seconds,
+                     seconds * CALIBRATION_REF_S * 2 / (before + after), digest])
+        before = after
 print(json.dumps(rows))
 """
 
@@ -85,30 +90,25 @@ def sample(tree: Path) -> list[list]:
     return json.loads(proc.stdout)
 
 
-def group_seconds(rows: list[list]) -> dict[str, float]:
-    """Total seconds per "<grid> <topology> C_f=<C_f>" group, in first-seen order."""
+def group_seconds(rows: list[list], column: int) -> dict[str, float]:
+    """Total of ``column`` per "<grid> <topology> C_f=<C_f>" group, in first-seen order."""
     totals: dict[str, float] = {}
-    for grid, topology, c_f, _, _, seconds, _ in rows:
-        key = f"{grid} {topology} C_f={c_f:g}"
-        totals[key] = totals.get(key, 0.0) + seconds
+    for row in rows:
+        key = f"{row[0]} {row[1]} C_f={row[2]:g}"
+        totals[key] = totals.get(key, 0.0) + row[column]
     return totals
 
 
-def summarize(parent: list[dict[str, float]], change: list[dict[str, float]]) -> dict[str, dict]:
-    """Per group: each side's median over the passes, the relative change of
-    the medians and the passes the change was faster in."""
-    summary = {}
-    for key in parent[0]:
-        p = [totals[key] for totals in parent]
-        c = [totals[key] for totals in change]
-        p_med, c_med = statistics.median(p), statistics.median(c)
-        summary[key] = {
-            "parent_s": round(p_med, 4),
-            "change_s": round(c_med, 4),
-            "change_frac": round((c_med - p_med) / p_med, 4),
-            "faster_passes": sum(b < a for a, b in zip(p, c)),
-        }
-    return summary
+def as_run(rows: list[list], reference: list[str], tree_id: dict) -> dict:
+    """A pass as a run shaped like perfbench's final line; a trial failed if
+    its digest differs from its entry in ``reference``."""
+    return {
+        "attempted": len(rows),
+        "failed": sum(row[7] != digest for row, digest in zip(rows, reference)) + abs(len(rows) - len(reference)),
+        "metrics": {key: {"value": s, "unit": "s"} for key, s in group_seconds(rows, 6).items()},
+        "unscaled": group_seconds(rows, 5),
+        "provenance": {"trials_per_cell": TRIALS, **tree_id},
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,45 +117,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to merge the result into")
     args = parser.parse_args(argv)
 
-    parent_rev = git("rev-parse", "--short", f"{args.parent}^{{commit}}")
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    rows: dict[str, list[list[list]]] = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="grid_sample_") as tmp:
-        trees = {side: Path(tmp, side) for side in rows}
-        extract(parent_rev, trees["parent"])
-        copy_worktree(trees["change"], args.out)
-        for n in range(1, PASSES + 1):
-            for side in ("parent", "change") if n % 2 else ("change", "parent"):
-                rows[side].append(sample(trees[side]))
-            print(f"pass {n}/{PASSES}: parent {sum(r[5] for r in rows['parent'][-1]):.2f} s,"
-                  f" change {sum(r[5] for r in rows['change'][-1]):.2f} s", file=sys.stderr)
+    parent_rev = bench_pairs.git("rev-parse", "--short", f"{args.parent}^{{commit}}")
+    record = bench_pairs.open_record(args.out, parent_rev)
+    reference: list[str] = []
 
-    digests = {tuple(r[6] for r in run) for side in rows.values() for run in side}
-    totals = {side: [group_seconds(run) for run in runs] for side, runs in rows.items()}
-    groups = summarize(totals["parent"], totals["change"])
-    result = {
-        "command": f"python3 tools/grid_sample.py --parent {parent_rev}",
-        "host": host(),
-        "parent": parent_rev,
-        "provenance": tree_ids(parent_rev, args.out),
-        "trials_per_cell": TRIALS,
-        "runs_per_pass": len(rows["parent"][0]),
-        "passes": PASSES,
-        "records_identical": len(digests) == 1,
-        "total_s": {side: [round(sum(t.values()), 4) for t in runs] for side, runs in totals.items()},
-        "groups": groups,
-        "worse": [key for key, g in groups.items() if g["change_frac"] > 0],
-    }
-    record = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    record["grid_sample"] = result
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    def measure(tree: Path, tree_id: dict) -> dict:
+        rows = sample(tree)
+        reference[:] = reference or [row[7] for row in rows]  # the first pass is the parent's
+        return as_run(rows, reference, tree_id)
 
-    for key, g in groups.items():
-        print(f"{key:<28} parent {g['parent_s']:8.3f} s  change {g['change_s']:8.3f} s"
-              f"  {100 * g['change_frac']:+6.1f}%  faster in {g['faster_passes']}/{PASSES}")
-    print(f"records identical across trees and passes: {result['records_identical']}")
-    print(f"worse: {', '.join(result['worse']) or 'none'}")
-    return 0 if result["records_identical"] else 1
+    runs = bench_pairs.alternate(parent_rev, args.out, PASSES, measure)
+    bench_pairs.merge(args.out, record, "grid_sample", f"python3 tools/grid_sample.py --parent {parent_rev}", runs)
+    groups = {key: "lower" for key in runs["parent"][0]["metrics"]}
+    print(bench_pairs.format_summary(bench_pairs.summarize(runs["parent"], runs["change"], groups)))
+    failed = sum(run["failed"] for side in runs.values() for run in side)
+    print(f"trials whose record differs from the parent's first pass: {failed}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ Run from anywhere inside the repository:
 ``MUTANTS.json`` at the repository root lists the mutants. Each is an exact
 text edit of one file under ``src/`` (``old`` -> ``new``, where ``old``
 occurs exactly once) and the ``defect`` it stands for. For each one, the
-checkout's working tree is copied to a fresh temporary directory, the edit
-is applied there, and ``pytest -x -q tests --ignore=tests/test_acceptance.py
---ignore=tests/test_mutants.py`` runs in the copy. A failing run kills the mutant; a passing one lets it
+checkout's working tree is copied to a fresh temporary directory
+(``bench_pairs.copy_worktree``), the edit is applied there, and ``pytest -x
+-q tests --ignore=tests/test_acceptance.py --ignore=tests/test_mutants.py``
+runs in the copy. A failing run kills the mutant; a passing one lets it
 survive. The unmutated copy runs first and must pass, or no result would
 mean anything.
 
@@ -35,12 +36,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import copy_worktree
 
 ROOT = Path(__file__).resolve().parent.parent
 LIST = ROOT / "MUTANTS.json"
@@ -50,7 +52,6 @@ PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests", "--igno
           "--ignore=tests/test_mutants.py"]
 # A mutant that makes a test loop forever counts as killed once this passes.
 TIMEOUT_S = 1800
-IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", "out")
 
 
 def check_texts(mutants: list[dict], root: Path = ROOT) -> list[str]:
@@ -71,7 +72,7 @@ def trial(mutant: dict | None) -> tuple[bool, float]:
     ``mutant`` applied (None: unmutated), and its wall time in seconds."""
     with tempfile.TemporaryDirectory(prefix="mutants_") as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        copy_worktree(tree)
         if mutant is not None:
             path = tree / mutant["file"]
             path.write_text(path.read_text().replace(mutant["old"], mutant["new"]))
