@@ -91,11 +91,11 @@ def summarize(
     median beats the parent's by more than the parent's interquartile range,
     its unscaled median (where both sides report one) beats the parent's
     too, and no larger share of its operations failed than of the
-    parent's. The loss rule is its mirror: the change is
-    worse in at least nine tenths of the pairs, and its median is worse by
-    more than the interquartile range of both sides' runs pooled, each run
-    taken as its distance from its own side's median. (Pooling the raw
-    values would put the gap between the sides inside the range itself.)
+    parent's. The loss rule is its mirror: the change is worse in at least
+    nine tenths of the pairs, and its median is worse by more than the
+    interquartile range of both sides' runs pooled, each run taken as its
+    distance from its own side's median. (Pooling the raw values would put
+    the gap between the sides inside the range itself.)
 
     ``parent`` and ``change`` are the runs' final JSON lines in pair order;
     ``better`` maps each metric name to "lower" or "higher". A metric that

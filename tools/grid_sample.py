@@ -8,24 +8,22 @@ Run from anywhere inside the repository:
 The first ``TRIALS`` trials of every cell of ``configs/fig3.json`` and
 ``configs/fig4_5.json`` (the configs and seeds ``experiment.expand`` gives
 them) are run one at a time with ``engine.run`` and timed with
-``time.perf_counter``. Each trial is scaled as ``perfbench/bench.py``
-scales a run, by ``CALIBRATION_REF_S`` over the mean of the ``calibrate()``
-taken just before and just after it (both from the tree's own
-``perfbench/bench.py``); consecutive trials share a calibration. One pass
-runs the whole sample in a fresh process in one tree, and
-``bench_pairs.alternate`` runs ``PASSES`` pairs of passes, the parent and
-the change each in its own fresh copy, one process at a time. Two engine
-runs at once would each take about twice as long on a 2-core host, so
-nothing runs beside a pass.
+``time.perf_counter``. Each trial is also scaled as ``perfbench/bench.py``
+scales a run: by ``CALIBRATION_REF_S`` over the mean of the ``calibrate()``
+just before and just after it, consecutive trials sharing one, both from
+the tree's own ``perfbench/bench.py``. A pass runs the whole sample in a
+fresh process, and ``bench_pairs.alternate`` runs ``PASSES`` pairs of
+passes in the parent's and the change's trees, one process at a time: two
+engine runs at once would each take about twice as long on a 2-core host.
 
-A pass is a run shaped like a perfbench final line: ``attempted`` is its
-trials, ``failed`` those whose record digest (sha256 of
-``RunRecord.to_json``) differs from that trial's in the parent's first
-pass, ``metrics`` the scaled seconds per group, a group being the trials
-of one (grid, topology, C_f), and ``unscaled`` the raw seconds. The passes
-are merged into ``--out`` under ``workloads``, with ``bench_pairs``'
-parent and host checks, and every group is judged by
-``bench_pairs.summarize``. The exit code is 1 if any trial failed.
+A pass is a run shaped like a perfbench final line: ``attempted`` counts
+its trials, ``failed`` those whose record digest (sha256 of
+``RunRecord.to_json``) differs from the parent's first pass, ``metrics``
+holds the scaled seconds per "<grid> <topology> C_f=<C_f>" group and
+``unscaled`` the raw ones. The passes are merged into ``--out`` under
+``workloads["grid_sample"]`` with ``bench_pairs``' parent and host checks,
+and every group is judged by ``bench_pairs.summarize``. The exit code is 1
+if any trial failed.
 
 Only the standard library is used here; each pass imports the
 ``hexswarm`` and ``perfbench`` of the tree it times.
