@@ -10,7 +10,7 @@ Each tick applies a fixed phase order:
 3. each broadcasting agent, in ascending id order, is linked to those of
    its higher-id interaction neighbours that also broadcast;
 4. of those linked pairs, the ones within ``C_r`` of each other at the
-   new positions are eligible. Phases 3-4 are one pass,
+   new positions are eligible. Phases 3-4 are one pass over the agents,
    ``network.eligible_partners``, so distance is tested only for pairs
    the interaction network allows;
 5. broadcasting agents are visited in seeded-random order and greedily
@@ -25,9 +25,8 @@ above, so identical configs reproduce identical records byte for byte.
 are those of ``np.random.default_rng(seed)``.
 
 Communication frequency 0 is the asocial special case: nobody, saturated
-agents included, ever broadcasts, so no fusion can occur. Phases 3..5 are
-skipped entirely whenever fewer than two agents are broadcasting, which
-leaves no observable trace because nothing in them consumes randomness.
+agents included, ever broadcasts, so no fusion can occur. With no eligible
+pair, as with fewer than two broadcasters, phase 5 draws nothing.
 
 ``run`` checks for convergence only after a tick with an arrival or a
 fusion of two different beliefs (``SimState.informative_fusion``). Only
@@ -302,19 +301,18 @@ def average_error(beliefs: list[Belief], truth: GroundTruth) -> float:
     return sum(belief_error(b, truth) for b in beliefs) / len(beliefs)
 
 
-def _run_fusion_phase(state: SimState, broadcasters: list[int]) -> None:
+def _run_fusion_phase(state: SimState) -> None:
     agents = state.agents
     # Each partner list is in ascending id order, which the candidate draw
     # below depends on.
-    adjacency = eligible_partners(broadcasters, agents, state.config.C_r, state.network)
+    order, adjacency = eligible_partners(agents, state.config.C_r, state.network)
     if not adjacency:
         return
     rng = state.rng
     matched: set[int] = set()
-    # Shuffling the id list in place makes the same draws, and gives the
-    # same order, as indexing it through rng.permutation(len(broadcasters)):
+    # Shuffling the fresh id list in place makes the same draws, and gives
+    # the same order, as indexing it through rng.permutation(len(order)):
     # both swap by one random_interval draw per position, last to first.
-    order = broadcasters.copy()
     rng.shuffle(order)
     for i in order:
         if i in matched or i not in adjacency:
@@ -355,9 +353,7 @@ def tick(state: SimState) -> SimState:
         on_arrival(agent, state.truth, state.noise, cfg.C_f, rng)
 
     if cfg.C_f > 0:
-        broadcasters = [a.id for a in agents if a.mode is not EXPLORING]
-        if len(broadcasters) >= 2:
-            _run_fusion_phase(state, broadcasters)
+        _run_fusion_phase(state)
 
     state.tick_index += 1
     return state

@@ -11,10 +11,10 @@ Agents are identified by 0-based indices; edges are (i, j) tuples with i < j.
 An interaction network is stored once, as its rows of higher-id neighbours
 (``InteractionNetwork.upper``); its edge set is derived from them on read.
 The reference model in ``tests/reference_model.py`` pairs agents through
-the edge sets of ``physical_edges`` and ``eligible_edges``. The tick calls
-``eligible_partners`` instead, which walks each broadcaster's higher-id
-interaction neighbours (``InteractionNetwork.upper``) and tests distance
-only for linked pairs that both broadcast; the tests compare the two.
+the edge sets of ``physical_edges`` and ``eligible_edges``; the tests compare
+it with ``eligible_partners``, which the tick calls: one pass over the agents
+that lists the broadcasters and tests distance only for their broadcasting
+higher-id interaction neighbours (``InteractionNetwork.upper``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .agent import EXPLORING
 from .errors import check, check_lattice
 
 Edge = tuple[int, int]
@@ -90,32 +91,35 @@ def eligible_edges(
 
 
 def eligible_partners(
-    broadcasters: list[int], agents: Sequence, radius: float, interaction: InteractionNetwork
-) -> dict[int, list[int]]:
-    """Eligible partners of each broadcaster that has any.
+    agents: Sequence, radius: float, interaction: InteractionNetwork
+) -> tuple[list[int], dict[int, list[int]]]:
+    """The broadcasters (agents not exploring) in ascending id order, and the
+    eligible partners of each that has any, from one pass over ``agents``,
+    where ``agents[i]`` is agent i, with ``.id``, ``.mode``, ``.x`` and ``.y``.
 
-    ``broadcasters`` are the broadcasting ids in ascending order and
-    ``agents[i]`` has the position ``.x``, ``.y`` of agent i. The pairs are
-    exactly those of ``eligible_edges(physical_edges(...))``: the distance
-    test is the same float expression, since ``dx*dx + dy*dy`` adds the two
-    products in the order numpy's two-element ``sum(axis=2)`` does. Visiting
-    broadcasters and their higher-id neighbours in ascending order appends
-    to every partner list in ascending id order, with no sort.
+    The pairs are exactly those of ``eligible_edges(physical_edges(...))``:
+    the distance test is the same float expression, since ``dx*dx + dy*dy``
+    adds the two products in the order numpy's two-element ``sum(axis=2)``
+    does. Visiting broadcasters and their higher-id neighbours in ascending
+    order appends to every partner list in ascending id order, with no sort.
     """
     limit = radius * radius
     upper = interaction.upper
-    broadcasting = set(broadcasters)
+    broadcasters: list[int] = []
     partners: dict[int, list[int]] = {}
-    for i in broadcasters:
-        a = agents[i]
+    for a in agents:
+        if a.mode is EXPLORING:
+            continue
+        i = a.id
+        broadcasters.append(i)
         xi, yi = a.x, a.y
         for j in upper[i]:
-            if j not in broadcasting:
-                continue
             b = agents[j]
+            if b.mode is EXPLORING:
+                continue
             dx = xi - b.x
             dy = yi - b.y
             if dx * dx + dy * dy <= limit:
                 partners.setdefault(i, []).append(j)
                 partners.setdefault(j, []).append(i)
-    return partners
+    return broadcasters, partners

@@ -10,6 +10,7 @@ import reference_model
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hexswarm.agent import Mode
 from hexswarm.environment import CIRCUMRADIUS, build_grid
 from hexswarm.errors import ConfigError
 from hexswarm.network import (
@@ -192,10 +193,16 @@ def rows_as_edges(net):
 
 
 def partner_pairs(ids, pts, radius, net):
-    """eligible_partners' result as an edge set, after checking that every
+    """eligible_partners' pairs as an edge set, for agents at ``pts`` that
+    broadcast exactly when their id is in ``ids``, after checking that the
+    broadcaster list is those ids in ascending order and that every partner
     list is nonempty, strictly ascending and mirrored in its partners' lists."""
-    agents = [SimpleNamespace(x=x, y=y) for x, y in pts]
-    partners = eligible_partners(ids, agents, radius, net)
+    # Saturated agents broadcast too: odd ids in ``ids`` are saturated.
+    modes = [Mode.EXPLORING if i not in ids else Mode.SATURATED if i % 2 else Mode.BROADCASTING
+             for i in range(len(pts))]
+    agents = [SimpleNamespace(id=i, x=x, y=y, mode=modes[i]) for i, (x, y) in enumerate(pts)]
+    broadcasters, partners = eligible_partners(agents, radius, net)
+    assert broadcasters == sorted(ids)
     pairs = set()
     for i, js in partners.items():
         assert js and js == sorted(set(js))
